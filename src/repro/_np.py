@@ -1,28 +1,10 @@
-"""Central, optional numpy import for the vectorized fast paths.
+"""Retired numpy switch, kept only as a constant.
 
-Every module that offers a numpy-backed kernel imports ``np`` from here
-instead of importing numpy directly, so the whole codebase degrades to its
-pure-Python implementations through a single switch:
-
-* numpy genuinely missing from the environment, or
-* ``REPRO_NO_NUMPY=1`` in the environment (the CI no-numpy job, and the
-  local way to exercise the fallback without uninstalling anything).
-
-``np`` is ``None`` when unavailable; callers latch a backend at
-construction time (``if np is not None: ...``) rather than re-checking per
-operation.
+The simulator is pure Python: the numpy sketch backend this module once
+gated measured slower end to end and was removed.  ``HAVE_NUMPY`` stays
+``False`` because the repository benchmark (``perfbench/run.py``) still
+records it as ``host.have_numpy``; a later benchmark change drops the
+metric, and this module with it.
 """
 
-from __future__ import annotations
-
-import os
-
-if os.environ.get("REPRO_NO_NUMPY") == "1":
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-        np = None
-
-HAVE_NUMPY = np is not None
+HAVE_NUMPY = False

@@ -85,7 +85,14 @@ class SecurityVerifier:
         self._violation_count = 0
         self._first_violation_cycle: Optional[int] = None
         self._max_disturbance = 0
-        self.rows_per_bank = dram.config.organization.rows_per_bank
+        organization = dram.config.organization
+        self.rows_per_bank = organization.rows_per_bank
+        #: (bankgroup, bank) of every bank in a rank: the banks a REF covers.
+        self._rank_banks = [
+            (bankgroup, bank)
+            for bankgroup in range(organization.bankgroups_per_rank)
+            for bank in range(organization.banks_per_bankgroup)
+        ]
         # Streaming audits on a fast-path DRAM system receive ACT events in
         # batches at the model's drain points (refresh boundaries, snapshot,
         # window end) instead of one callback per ACT; the verdict is
@@ -190,14 +197,24 @@ class SecurityVerifier:
         self, cycle: int, rank_key: Tuple[int, int], start_row: int, count: int
     ) -> None:
         channel, rank = rank_key
-        end_row = start_row + count
+        disturbance = self._disturbance
+        end_row = min(start_row + count, self.rows_per_bank)
+        if len(self._rank_banks) * (end_row - start_row) < len(disturbance):
+            # Fewer covered rows than tracked victims: pop the covered keys
+            # directly.  Deleting keys keeps the survivors' order, so the
+            # result (and ``snapshot()``) equals the scan below.
+            pop = disturbance.pop
+            for bankgroup, bank in self._rank_banks:
+                for row in range(start_row, end_row):
+                    pop((channel, rank, bankgroup, bank, row), None)
+            return
         stale = [
             key
-            for key in self._disturbance
+            for key in disturbance
             if key[0] == channel and key[1] == rank and start_row <= key[4] < end_row
         ]
         for key in stale:
-            del self._disturbance[key]
+            del disturbance[key]
 
     # ------------------------------------------------------------------ #
     # Checkpointing

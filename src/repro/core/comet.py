@@ -67,6 +67,7 @@ class CoMeT(RowHammerMitigation):
     ) -> None:
         super().__init__(nrh=nrh, blast_radius=blast_radius)
         self.config = config or CoMeTConfig(nrh=nrh, blast_radius=blast_radius)
+        self._npr = self.config.npr
         self._banks: Dict[BankKey, _BankTracker] = {}
         self._next_reset_cycle: Optional[int] = None
         self._reset_period: Optional[int] = None
@@ -95,28 +96,31 @@ class CoMeT(RowHammerMitigation):
         # Table counts every ACT command the scheduler issues, and a
         # preventively refreshed victim row disturbs *its* neighbours, so
         # skipping these would leave refresh storms unobserved.
-        self._maybe_periodic_reset(cycle)
+        next_reset = self._next_reset_cycle
+        if next_reset is not None and cycle >= next_reset:
+            self._periodic_reset(cycle)
         self.stats.observed_activations += 1
 
-        tracker = self.bank_tracker(address.bank_key)
+        tracker = self._banks.get(address.bank_key)
+        if tracker is None:
+            tracker = self.bank_tracker(address.bank_key)
         row = address.row
-        npr = self.config.npr
 
-        # Step 2: activation count estimation (RAT wins over CT when present).
-        rat_value = tracker.rat.lookup(row)
-        in_rat = rat_value is not None
-        ct_estimate = tracker.counter_table.estimate(row)
-        estimate = rat_value if in_rat else ct_estimate
-        updated_count = estimate + 1
-
-        # Step 3: update counters / trigger a preventive refresh.
-        if updated_count >= npr:
-            self._handle_aggressor(cycle, address, tracker, in_rat, ct_estimate)
-        else:
-            if in_rat:
-                tracker.rat.increment(row)
+        # Steps 2-3 (Section 4.1): a RAT entry, when present, is the row's
+        # count and the Counter Table is not consulted at all.
+        rat = tracker.rat
+        rat_value = rat.lookup(row)
+        if rat_value is not None:
+            if rat_value + 1 >= self._npr:
+                self._handle_aggressor(cycle, address, tracker, True, None)
             else:
-                tracker.counter_table.increment(row)
+                rat.increment(row)
+            return
+        # RAT miss: one Counter Table pass estimates the row and, unless the
+        # updated count reaches NPR, applies the conservative increment.
+        ct_estimate = tracker.counter_table.observe(row)
+        if ct_estimate + 1 >= self._npr:
+            self._handle_aggressor(cycle, address, tracker, False, ct_estimate)
 
     def _handle_aggressor(
         self,
@@ -124,10 +128,9 @@ class CoMeT(RowHammerMitigation):
         address: DRAMAddress,
         tracker: _BankTracker,
         in_rat: bool,
-        ct_estimate: int,
+        ct_estimate: Optional[int],
     ) -> None:
         row = address.row
-        npr = self.config.npr
 
         self.refresh_victims(cycle, address)
         tracker.counter_table.saturate(row)
@@ -140,7 +143,7 @@ class CoMeT(RowHammerMitigation):
         # A row whose CT counters were already at NPR before this activation
         # must have been identified as an aggressor earlier in this reset
         # period and then evicted from the RAT -> capacity miss.
-        capacity_miss = ct_estimate >= npr
+        capacity_miss = ct_estimate >= self._npr
         tracker.miss_history.append(1 if capacity_miss else 0)
         if capacity_miss:
             tracker.rat.stats.capacity_misses += 1
@@ -170,9 +173,8 @@ class CoMeT(RowHammerMitigation):
     # ------------------------------------------------------------------ #
     # Periodic counter reset (Section 4.3)
     # ------------------------------------------------------------------ #
-    def _maybe_periodic_reset(self, cycle: int) -> None:
-        if self._next_reset_cycle is None or cycle < self._next_reset_cycle:
-            return
+    def _periodic_reset(self, cycle: int) -> None:
+        """Clear every bank's counters once ``cycle`` reaches the reset boundary."""
         while cycle >= self._next_reset_cycle:
             self._next_reset_cycle += self._reset_period
         for tracker in self._banks.values():

@@ -31,8 +31,9 @@ class CounterTable:
         hash_family = ShiftMaskHashFamily(
             config.num_hashes, config.counters_per_hash, seed=config.hash_seed + bank_seed
         )
+        self._npr = config.npr
         self._sketch = ConservativeCountMinSketch(
-            sketch_config, hash_family=hash_family, saturation_value=config.npr
+            sketch_config, hash_family=hash_family, saturation_value=self._npr
         )
 
     # ------------------------------------------------------------------ #
@@ -46,13 +47,25 @@ class CounterTable:
         """Conservative-update increment of the row's counter group."""
         return self._sketch.update(row, 1)
 
+    def observe(self, row: int) -> int:
+        """Count one activation of a row that has no RAT entry, in one pass.
+
+        Returns the row's estimate *before* this activation.  When the
+        updated count stays below NPR the group is conservatively
+        incremented; otherwise the counters are left as they are and the
+        caller handles the aggressor (preventive refresh, then
+        :meth:`saturate`).  Equivalent to :meth:`estimate` followed by a
+        conditional :meth:`increment`, with one hash of the row.
+        """
+        return self._sketch.increment_below(row, self._npr)
+
     def saturate(self, row: int) -> None:
         """Set every counter in the row's group to NPR (after a preventive refresh)."""
-        self._sketch.set_group(row, self.config.npr)
+        self._sketch.set_group(row, self._npr)
 
     def is_saturated(self, row: int) -> bool:
         """True when the row's estimate has reached NPR."""
-        return self._sketch.estimate(row) >= self.config.npr
+        return self._sketch.estimate(row) >= self._npr
 
     def reset(self) -> None:
         """Bulk reset (periodic reset or early preventive refresh)."""
@@ -80,7 +93,7 @@ class CounterTable:
 
     @property
     def npr(self) -> int:
-        return self.config.npr
+        return self._npr
 
     @property
     def storage_bits(self) -> int:

@@ -132,6 +132,16 @@ class AddressMapper:
         self._column_bits = _bits(org.columns_per_row // org.columns_per_cacheline)
         self._rank_bits = _bits(org.ranks_per_channel)
         self._row_bits = _bits(org.rows_per_bank)
+        self._fields = (
+            self._offset_bits,
+            self._channel_bits, (1 << self._channel_bits) - 1,
+            self._bankgroup_bits, (1 << self._bankgroup_bits) - 1,
+            self._bank_bits, (1 << self._bank_bits) - 1,
+            self._column_bits, (1 << self._column_bits) - 1,
+            self._rank_bits, (1 << self._rank_bits) - 1,
+            (1 << self._row_bits) - 1,
+            org.columns_per_cacheline,
+        )
         # Decoded-address memo: workloads re-touch the same cache lines
         # (hammering patterns by construction, benign traces through
         # locality), DRAMAddress is frozen, and decode is pure — so decoding
@@ -157,23 +167,32 @@ class AddressMapper:
     def _decode_slow(self, physical_address: int) -> DRAMAddress:
         if physical_address < 0:
             raise ValueError("physical address must be non-negative")
-        org = self.config.organization
-        value = physical_address >> self._offset_bits
-        value, channel = self._take(value, self._channel_bits, org.channels)
-        value, bankgroup = self._take(value, self._bankgroup_bits, org.bankgroups_per_rank)
-        value, bank = self._take(value, self._bank_bits, org.banks_per_bankgroup)
-        value, column = self._take(
-            value, self._column_bits, org.columns_per_row // org.columns_per_cacheline
-        )
-        value, rank = self._take(value, self._rank_bits, org.ranks_per_channel)
-        row = value % org.rows_per_bank
+        # Every field is a power of two (validate_mappable_geometry), so a
+        # shift and a mask extract it exactly.
+        (
+            offset_bits,
+            channel_bits, channel_mask,
+            bankgroup_bits, bankgroup_mask,
+            bank_bits, bank_mask,
+            column_bits, column_mask,
+            rank_bits, rank_mask,
+            row_mask,
+            columns_per_cacheline,
+        ) = self._fields
+        value = physical_address >> offset_bits
+        channel = value & channel_mask
+        value >>= channel_bits
+        bankgroup = value & bankgroup_mask
+        value >>= bankgroup_bits
+        bank = value & bank_mask
+        value >>= bank_bits
+        column = value & column_mask
+        value >>= column_bits
+        rank = value & rank_mask
+        value >>= rank_bits
         return DRAMAddress(
-            channel=channel,
-            rank=rank,
-            bankgroup=bankgroup,
-            bank=bank,
-            row=row,
-            column=column * org.columns_per_cacheline,
+            channel, rank, bankgroup, bank, value & row_mask,
+            column * columns_per_cacheline,
         )
 
     def encode(self, address: DRAMAddress) -> int:
@@ -188,13 +207,6 @@ class AddressMapper:
         value = self._put(value, self._bankgroup_bits, address.bankgroup)
         value = self._put(value, self._channel_bits, address.channel)
         return value << self._offset_bits
-
-    @staticmethod
-    def _take(value: int, bits: int, limit: int) -> Tuple[int, int]:
-        if bits == 0:
-            return value, 0
-        field = value & ((1 << bits) - 1)
-        return value >> bits, field % limit
 
     @staticmethod
     def _put(value: int, bits: int, field: int) -> int:

@@ -41,13 +41,17 @@ What is approximate, precisely:
   fast-forward.
 
 Mitigation outputs during fast-forward are intercepted per controller and
-applied functionally: a preventive refresh refreshes its victim row in
-place (activation observers + row-refresh notification + statistics), an
-early rank refresh advances the refresh pointer immediately, and injected
-mitigation traffic (Hydra counter accesses) warms the row-buffer state it
-would have touched.  The interception is installed as instance attributes
-for the duration of the phase and removed afterwards, so detailed windows
-always run the pristine controller code.
+applied functionally: a preventive refresh is queued and, once the ACT
+delivery that requested it has returned, refreshes its victim row in place
+(activation observers + row-refresh notification + statistics) — the
+functional counterpart of full fidelity's preventive-refresh queue, so a
+victim ACT never re-enters the observer still handling its aggressor and
+refresh cascades unroll in a loop; an early rank refresh advances the
+refresh pointer immediately, and injected mitigation traffic (Hydra counter
+accesses) warms the row-buffer state it would have touched.  The
+interception is installed as instance attributes for the duration of the
+phase and removed afterwards, so detailed windows always run the pristine
+controller code.
 
 Security audits should still use full fidelity (see EXPERIMENTS.md): the
 verifier's event stream is complete under sampling, but violation *cycles*
@@ -58,7 +62,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.dram.address import DRAMAddress
 from repro.experiment.spec import SampledConfig
@@ -198,15 +203,35 @@ def _functional_preventive_refresh(ctl, address: DRAMAddress, cycle: int) -> Non
     dram.notify_row_refresh(cycle, act_address)
 
 
-def _install_functional_hooks(ctl, clock: Dict[str, int]) -> Callable[[], None]:
+PendingRefreshes = Deque[Tuple[object, DRAMAddress, int]]
+
+
+def _apply_pending_refreshes(pending: PendingRefreshes) -> None:
+    """Apply queued preventive refreshes in request order.
+
+    Each refresh's victim ACT may queue further refreshes (a mitigation
+    tracks preventive ACTs too); they join the back of the queue, so a
+    cascade of any length unrolls in this loop instead of on the stack.
+    """
+    while pending:
+        ctl, address, cycle = pending.popleft()
+        _functional_preventive_refresh(ctl, address, cycle)
+
+
+def _install_functional_hooks(
+    ctl, clock: Dict[str, int], pending: PendingRefreshes
+) -> Callable[[], None]:
     """Shadow the mitigation-facing controller entry points for one phase.
 
-    Returns an undo callable removing the instance attributes, restoring the
-    class methods for the next detailed window.
+    Preventive refreshes are appended to ``pending`` rather than applied:
+    the caller drains it with :func:`_apply_pending_refreshes` once the ACT
+    delivery that requested them has returned.  Returns an undo callable
+    removing the instance attributes, restoring the class methods for the
+    next detailed window.
     """
 
     def schedule_preventive_refresh(address: DRAMAddress, cycle: int) -> None:
-        _functional_preventive_refresh(ctl, address, max(int(cycle), clock["now"]))
+        pending.append((ctl, address, max(int(cycle), clock["now"])))
 
     def schedule_rank_refresh(channel: int, rank: int, count: int) -> None:
         ctl.stats.early_refresh_operations += 1
@@ -270,7 +295,8 @@ def _fast_forward(
     controllers = fabric.controllers
     mapper = fabric.mapper
     clock = {"now": int(kernel.now)}
-    undos = [_install_functional_hooks(ctl, clock) for ctl in controllers]
+    pending: PendingRefreshes = deque()
+    undos = [_install_functional_hooks(ctl, clock, pending) for ctl in controllers]
     start = float(kernel.now)
     end = start
 
@@ -327,6 +353,8 @@ def _fast_forward(
                         _catch_up_refreshes(ctl, cycle)
                         refresh_due[channel] = min(ctl.next_refresh_due.values())
                     _, latency = _warm_access(ctl, address, is_write, cycle)
+                    if pending:
+                        _apply_pending_refreshes(pending)
                     if is_write:
                         stats.memory_writes += 1
                         ctl.stats.write_requests += 1
@@ -367,6 +395,7 @@ def _fast_forward(
         clock["now"] = end_cycle
         for ctl in controllers:
             _catch_up_refreshes(ctl, end_cycle)
+        _apply_pending_refreshes(pending)
     finally:
         for undo in undos:
             undo()

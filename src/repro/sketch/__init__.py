@@ -14,7 +14,8 @@ that the CoMeT paper and its comparison points are built on:
 All structures share the never-underestimate/possibly-overestimate contract
 that the paper's security argument relies on, and each exposes an
 ``estimate`` method so the analysis code can compare their false-positive
-behaviour (Figure 17).
+behaviour (Figure 17).  Counters are plain Python lists and hashing is
+plain integer arithmetic; there is one backend.
 """
 
 from repro.sketch.hashes import (

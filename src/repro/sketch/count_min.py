@@ -16,22 +16,19 @@ Both support counter saturation at a configurable ceiling (CoMeT's Counter
 Table saturates counters at the preventive refresh threshold and never resets
 individual counters) and bulk reset (CoMeT's periodic counter reset).
 
-Counter storage has two interchangeable backends, latched at construction
-time: a contiguous numpy int64 array (when numpy is importable and the
-:mod:`repro.fastpath` switch is on — the vectorized batch operations and
-cheap snapshots ride on it) and a list-of-lists pure-Python fallback.  The
-two backends produce bit-identical counts, estimates and snapshots (pinned
-by ``tests/test_sketch_vectorized.py``), so a sketch snapshotted under one
-backend restores under the other.
+Counters live in one pure-Python list per hash row: every operation touches
+the ``k`` counters of a single key, where an array library's per-element
+access would only add boxing cost.
+:meth:`ConservativeCountMinSketch.increment_below` is the single-pass form
+CoMeT's Counter Table runs on every activation: one hash of the key, one
+read of its counter group, then the conditional update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro import fastpath
-from repro._np import np
 from repro.sketch.hashes import HashFamily, ShiftMaskHashFamily
 
 
@@ -111,19 +108,9 @@ class CountMinSketch:
                 f"{config.counter_width_bits}-bit counters"
             )
         self.saturation_value = saturation_value
-        # Backend latch: contiguous numpy array vs list-of-lists fallback.
-        self._vec = np is not None and fastpath.enabled()
-        if self._vec:
-            self._array = np.zeros(
-                (config.num_hashes, config.counters_per_hash), dtype=np.int64
-            )
-            self._rows = np.arange(config.num_hashes)
-            self._counters: Optional[List[List[int]]] = None
-        else:
-            self._array = None
-            self._counters = [
-                [0] * config.counters_per_hash for _ in range(config.num_hashes)
-            ]
+        self._counters: List[List[int]] = [
+            [0] * config.counters_per_hash for _ in range(config.num_hashes)
+        ]
         self.total_updates = 0
 
     # ------------------------------------------------------------------ #
@@ -135,12 +122,11 @@ class CountMinSketch:
 
     def estimate(self, key: int) -> int:
         """Return the (never-underestimating) frequency estimate for ``key``."""
-        indices = self.hash_family.hash_all(key)
-        if self._vec:
-            array = self._array
-            return int(min(array[row, column] for row, column in enumerate(indices)))
         counters = self._counters
-        return min(counters[row][column] for row, column in enumerate(indices))
+        return min(
+            counters[row][column]
+            for row, column in enumerate(self.hash_family.hash_all(key))
+        )
 
     def update(self, key: int, amount: int = 1) -> int:
         """Record ``amount`` occurrences of ``key`` and return the new estimate."""
@@ -149,17 +135,6 @@ class CountMinSketch:
         indices = self.hash_family.hash_all(key)
         self.total_updates += amount
         saturation = self.saturation_value
-        if self._vec:
-            array = self._array
-            minimum = saturation
-            for row, column in enumerate(indices):
-                value = int(array[row, column]) + amount
-                if value > saturation:
-                    value = saturation
-                array[row, column] = value
-                if value < minimum:
-                    minimum = value
-            return minimum
         counters = self._counters
         minimum = saturation
         for row, column in enumerate(indices):
@@ -171,33 +146,6 @@ class CountMinSketch:
                 minimum = value
         return minimum
 
-    def update_batch(self, keys: Sequence[int], amount: int = 1) -> None:
-        """Record ``amount`` occurrences of every key in ``keys``.
-
-        State-equivalent to updating each key in sequence (plain CMS updates
-        commute: saturation clamps a monotone sum, so clamping per step or
-        once at the end lands on the same counters).  Unlike :meth:`update`
-        no per-key estimates are produced — batch callers only need the
-        final table.
-        """
-        if amount < 0:
-            raise ValueError("Count-Min Sketch does not support negative updates")
-        if not len(keys):
-            return
-        self.total_updates += amount * len(keys)
-        if self._vec:
-            matrix = self.hash_family.hash_matrix(keys)
-            if isinstance(matrix, list):
-                matrix = np.array(matrix, dtype=np.int64)
-            array = self._array
-            for row in range(self.config.num_hashes):
-                np.add.at(array[row], matrix[row], amount)
-            np.minimum(array, self.saturation_value, out=array)
-            return
-        self.total_updates -= amount * len(keys)  # the scalar loop re-adds
-        for key in keys:
-            self.update(key, amount)
-
     def set_group(self, key: int, value: int) -> None:
         """Force every counter of ``key``'s group to ``value`` (clamped to saturation).
 
@@ -206,26 +154,15 @@ class CountMinSketch:
         valid over-estimate for every other row sharing them.
         """
         value = min(value, self.saturation_value)
-        indices = self.hash_family.hash_all(key)
-        if self._vec:
-            array = self._array
-            for row, column in enumerate(indices):
-                if array[row, column] < value:
-                    array[row, column] = value
-            return
         counters = self._counters
-        for row, column in enumerate(indices):
+        for row, column in enumerate(self.hash_family.hash_all(key)):
             if counters[row][column] < value:
                 counters[row][column] = value
 
     def reset(self) -> None:
         """Reset every counter to zero (CoMeT's periodic reset / early refresh)."""
-        if self._vec:
-            self._array.fill(0)
-        else:
-            for row in self._counters:
-                for column in range(len(row)):
-                    row[column] = 0
+        for row in self._counters:
+            row[:] = [0] * len(row)
         self.total_updates = 0
 
     # ------------------------------------------------------------------ #
@@ -237,14 +174,10 @@ class CountMinSketch:
 
     def counter_value(self, row: int, column: int) -> int:
         """Raw value of one counter (used by tests and analysis code)."""
-        if self._vec:
-            return int(self._array[row, column])
         return self._counters[row][column]
 
     def counters_snapshot(self) -> List[List[int]]:
-        """Deep copy of the counter array (plain Python ints either backend)."""
-        if self._vec:
-            return self._array.tolist()
+        """Deep copy of the counter array."""
         return [list(row) for row in self._counters]
 
     def snapshot(self) -> Dict[str, Any]:
@@ -252,8 +185,8 @@ class CountMinSketch:
 
         Geometry, hashing and the saturation ceiling are construction-time
         constants and are not captured; ``restore`` assumes an identically
-        configured instance.  The captured counters are plain lists either
-        way, so snapshots are backend-portable (and picklable).
+        configured instance.  The captured counters are plain lists of ints,
+        so snapshots are picklable and JSON-clean.
         """
         return {
             "counters": self.counters_snapshot(),
@@ -262,35 +195,18 @@ class CountMinSketch:
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Restore the state captured by :meth:`snapshot`."""
-        if self._vec:
-            self._array = np.array(state["counters"], dtype=np.int64)
-        else:
-            self._counters = [list(row) for row in state["counters"]]
+        self._counters = [list(row) for row in state["counters"]]
         self.total_updates = state["total_updates"]
 
     def max_counter(self) -> int:
         """Largest counter value currently stored."""
-        if self._vec:
-            return int(self._array.max())
         return max(max(row) for row in self._counters)
 
     def num_saturated_counters(self) -> int:
         """Number of counters currently at the saturation value."""
-        if self._vec:
-            return int((self._array >= self.saturation_value).sum())
         return sum(
             1 for row in self._counters for value in row if value >= self.saturation_value
         )
-
-    def estimate_many(self, keys: Sequence[int]) -> List[int]:
-        """Vector form of :meth:`estimate` (one fancy-indexed gather on numpy)."""
-        if self._vec and len(keys):
-            matrix = self.hash_family.hash_matrix(keys)
-            if isinstance(matrix, list):
-                matrix = np.array(matrix, dtype=np.int64)
-            values = self._array[self._rows[:, None], matrix]
-            return [int(v) for v in values.min(axis=0)]
-        return [self.estimate(key) for key in keys]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -314,14 +230,6 @@ class ConservativeCountMinSketch(CountMinSketch):
             raise ValueError("Count-Min Sketch does not support negative updates")
         indices = self.hash_family.hash_all(key)
         self.total_updates += amount
-        if self._vec:
-            array = self._array
-            current = [int(array[row, column]) for row, column in enumerate(indices)]
-            target = min(min(current) + amount, self.saturation_value)
-            for (row, column), value in zip(enumerate(indices), current):
-                if value < target:
-                    array[row, column] = target
-            return target
         counters = self._counters
         current = [counters[row][column] for row, column in enumerate(indices)]
         target = min(min(current) + amount, self.saturation_value)
@@ -332,13 +240,26 @@ class ConservativeCountMinSketch(CountMinSketch):
         # the group's new minimum — the estimate — is ``target`` itself.
         return target
 
-    def update_batch(self, keys: Sequence[int], amount: int = 1) -> None:
-        """Sequential conservative updates for every key in ``keys``.
+    def increment_below(self, key: int, limit: int) -> int:
+        """Estimate ``key`` and conservatively add one unless that reaches ``limit``.
 
-        CMS-CU is order-sensitive (an earlier update can lift the minimum a
-        later colliding key sees), so the batch form is the exact sequential
-        loop — it exists so batch callers hit one call site regardless of
-        sketch variant, not to reorder the arithmetic.
+        The single-pass form of ``estimate`` followed by ``update(key, 1)``:
+        the key is hashed once and its counter group read once.  Returns the
+        group minimum *before* the update (what :meth:`estimate` returned).
+        When ``minimum + 1 < limit`` the counters change exactly as
+        ``update(key, 1)`` changes them; otherwise nothing changes and the
+        caller handles the threshold crossing.
         """
-        for key in keys:
-            self.update(key, amount)
+        indices = self.hash_family.hash_all(key)
+        counters = self._counters
+        current = [row[column] for row, column in zip(counters, indices)]
+        minimum = min(current)
+        target = minimum + 1
+        if target < limit:
+            if target > self.saturation_value:
+                target = self.saturation_value
+            self.total_updates += 1
+            for row, column, value in zip(counters, indices, current):
+                if value < target:
+                    row[column] = target
+        return minimum

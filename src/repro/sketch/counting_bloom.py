@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro import fastpath
-from repro._np import np
 from repro.sketch.hashes import HashFamily, ShiftMaskHashFamily
 
 
@@ -60,16 +58,7 @@ class CountingBloomFilter:
         if hash_family is None:
             hash_family = ShiftMaskHashFamily(num_hashes, num_counters, seed=seed)
         self.hash_family = hash_family
-        # Backend latch (see count_min.py): contiguous numpy array when
-        # numpy is importable and the fastpath switch is on, else a plain
-        # list.  Both produce bit-identical counts and snapshots.
-        self._vec = np is not None and fastpath.enabled()
-        if self._vec:
-            self._array = np.zeros(num_counters, dtype=np.int64)
-            self._counters: Optional[List[int]] = None
-        else:
-            self._array = None
-            self._counters = [0] * num_counters
+        self._counters: List[int] = [0] * num_counters
         self.total_updates = 0
 
     def indices(self, key: int) -> List[int]:
@@ -87,14 +76,6 @@ class CountingBloomFilter:
             raise ValueError("counting Bloom filter does not support negative updates")
         self.total_updates += amount
         idx = self.hash_family.hash_all(key)
-        if self._vec:
-            array = self._array
-            current = [int(array[i]) for i in idx]
-            target = min(min(current) + amount, self.saturation_value)
-            for i, value in zip(idx, current):
-                if value < target:
-                    array[i] = target
-            return target
         counters = self._counters
         current = [counters[i] for i in idx]
         target = min(min(current) + amount, self.saturation_value)
@@ -105,20 +86,8 @@ class CountingBloomFilter:
         # group's new minimum — the estimate — is ``target`` itself.
         return target
 
-    def update_batch(self, keys: Sequence[int], amount: int = 1) -> None:
-        """Sequential conservative updates for every key in ``keys``.
-
-        Conservative updates are order-sensitive, so the batch form is the
-        exact sequential loop (one call site for batch consumers).
-        """
-        for key in keys:
-            self.update(key, amount)
-
     def estimate(self, key: int) -> int:
         """Never-underestimating frequency estimate of ``key``."""
-        if self._vec:
-            array = self._array
-            return int(min(array[i] for i in self.hash_family.hash_all(key)))
         counters = self._counters
         return min(counters[i] for i in self.hash_family.hash_all(key))
 
@@ -128,19 +97,14 @@ class CountingBloomFilter:
 
     def reset(self) -> None:
         """Clear all counters (epoch rollover)."""
-        if self._vec:
-            self._array.fill(0)
-        else:
-            self._counters = [0] * self.num_counters
+        self._counters = [0] * self.num_counters
         self.total_updates = 0
 
     def counters_snapshot(self) -> List[int]:
-        if self._vec:
-            return self._array.tolist()
         return list(self._counters)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Plain-data checkpoint of the mutable filter state (backend-portable)."""
+        """Plain-data checkpoint of the mutable filter state."""
         return {
             "counters": self.counters_snapshot(),
             "total_updates": self.total_updates,
@@ -148,10 +112,7 @@ class CountingBloomFilter:
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Restore the state captured by :meth:`snapshot`."""
-        if self._vec:
-            self._array = np.array(state["counters"], dtype=np.int64)
-        else:
-            self._counters = list(state["counters"])
+        self._counters = list(state["counters"])
         self.total_updates = state["total_updates"]
 
     @property

@@ -1,9 +1,11 @@
 """Tests for physical address <-> DRAM coordinate mapping."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dram.address import AddressMapper, DRAMAddress
-from repro.dram.config import DRAMConfig
+from repro.dram.address import AddressMapper, DRAMAddress, _bits
+from repro.dram.config import DRAMConfig, small_test_config
+from repro.sim.runner import default_experiment_config
 
 
 @pytest.fixture
@@ -114,3 +116,82 @@ class TestDRAMAddress:
         a = DRAMAddress(0, 0, 0, 0, 5, 0)
         b = DRAMAddress(0, 0, 0, 0, 6, 0)
         assert a < b
+
+
+#: Every address-mappable geometry the test suite builds (paper-size,
+#: benchmark/example platforms and the scaled-down test configurations).
+GEOMETRIES = {
+    "paper": lambda: DRAMConfig(),
+    "experiment_1ch": lambda: default_experiment_config(),
+    "experiment_2ch": lambda: default_experiment_config(channels=2),
+    "experiment_4ch": lambda: default_experiment_config(channels=4),
+    "experiment_1k_rows": lambda: default_experiment_config(rows_per_bank=1024),
+    "small_default": lambda: small_test_config(),
+    "small_2ch": lambda: small_test_config(rows_per_bank=256, channels=2),
+    "small_4ch": lambda: small_test_config(rows_per_bank=1024, channels=4),
+    "small_2rank": lambda: small_test_config(rows_per_bank=1024, ranks_per_channel=2),
+    "small_4k_2rank": lambda: small_test_config(rows_per_bank=4096, ranks_per_channel=2),
+    "tiny_256": lambda: small_test_config(rows_per_bank=256),
+    "tiny_128": lambda: small_test_config(rows_per_bank=128),
+    "tiny_64": lambda: small_test_config(rows_per_bank=64),
+    "tiny_32": lambda: small_test_config(rows_per_bank=32),
+    "tiny_16_1bg": lambda: small_test_config(rows_per_bank=16, bankgroups_per_rank=1),
+}
+
+
+def _reference_decode(config, physical_address):
+    """The field-by-field arithmetic ``_decode_slow`` replaced: take each
+    field with a mask, then reduce it modulo the dimension size."""
+    org = config.organization
+
+    def take(value, count):
+        bits = _bits(count)
+        if bits == 0:
+            return value, 0
+        return value >> bits, (value & ((1 << bits) - 1)) % count
+
+    value = physical_address >> _bits(org.cacheline_bytes)
+    value, channel = take(value, org.channels)
+    value, bankgroup = take(value, org.bankgroups_per_rank)
+    value, bank = take(value, org.banks_per_bankgroup)
+    value, column = take(value, org.columns_per_row // org.columns_per_cacheline)
+    value, rank = take(value, org.ranks_per_channel)
+    return DRAMAddress(
+        channel=channel,
+        rank=rank,
+        bankgroup=bankgroup,
+        bank=bank,
+        row=value % org.rows_per_bank,
+        column=column * org.columns_per_cacheline,
+    )
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+class TestShiftMaskDecode:
+    @settings(max_examples=60, deadline=None)
+    @given(physical=st.integers(min_value=0, max_value=(1 << 48) - 1))
+    def test_matches_reference_arithmetic(self, geometry, physical):
+        config = GEOMETRIES[geometry]()
+        assert AddressMapper(config)._decode_slow(physical) == _reference_decode(
+            config, physical
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_decode_inverts_encode(self, geometry, data):
+        config = GEOMETRIES[geometry]()
+        org = config.organization
+        address = DRAMAddress(
+            channel=data.draw(st.integers(0, org.channels - 1)),
+            rank=data.draw(st.integers(0, org.ranks_per_channel - 1)),
+            bankgroup=data.draw(st.integers(0, org.bankgroups_per_rank - 1)),
+            bank=data.draw(st.integers(0, org.banks_per_bankgroup - 1)),
+            row=data.draw(st.integers(0, org.rows_per_bank - 1)),
+            column=org.columns_per_cacheline
+            * data.draw(
+                st.integers(0, org.columns_per_row // org.columns_per_cacheline - 1)
+            ),
+        )
+        mapper = AddressMapper(config)
+        assert mapper.decode(mapper.encode(address)) == address
+        assert mapper._decode_slow(mapper.encode(address)) == address

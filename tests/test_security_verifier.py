@@ -236,3 +236,64 @@ class TestVerifierAPI:
     def test_nrh_must_be_positive(self):
         with pytest.raises(ValueError):
             make_verifier(nrh=0)
+
+
+# Streams for the REF-clear comparison: ACTs anywhere in the rank's four
+# banks, and REFs whose row count spans both sides of the verifier's
+# pop-versus-scan choice (4 banks x count keys against the tracked keys).
+clear_acts = st.tuples(
+    st.just("act"), st.integers(0, ROWS - 1), st.integers(0, 1), st.integers(0, 1)
+)
+clear_refs = st.tuples(
+    st.just("ref"), st.integers(0, ROWS - 1), st.integers(1, ROWS), st.just(0)
+)
+clear_events = st.lists(st.one_of(clear_acts, clear_refs), min_size=1, max_size=300)
+
+
+def _scan_clear_reference(stream):
+    """Apply ``stream`` to both a verifier and a scanning reference dict.
+
+    Returns the verifier, the reference and which clear strategies the
+    verifier's REFs had available (``"pop"`` when the covered keys were
+    fewer than the tracked keys, else ``"scan"``).
+    """
+    verifier = make_verifier(nrh=10_000)
+    reference = {}
+    strategies = set()
+    for cycle, (kind, row, a, b) in enumerate(stream):
+        if kind == "act":
+            verifier._on_activation(cycle, address(row, bank=a, bankgroup=b), False)
+            for victim in (row - 1, row + 1):
+                if 0 <= victim < ROWS:
+                    key = (0, 0, b, a, victim)
+                    reference[key] = reference.get(key, 0) + 1
+        else:
+            count = a
+            covered = 4 * (min(row + count, ROWS) - row)
+            strategies.add("pop" if covered < len(reference) else "scan")
+            verifier._on_rank_refresh(cycle, (0, 0), row, count)
+            for key in [k for k in reference if row <= k[4] < row + count]:
+                del reference[key]
+        assert verifier.snapshot()["disturbance"] == list(reference.items())
+    return verifier, reference, strategies
+
+
+class TestRankRefreshClear:
+    """Popping the keys a REF covers leaves exactly what the scan leaves,
+    survivors in the same order (so ``snapshot()`` is unchanged)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream=clear_events)
+    def test_matches_scan_in_order(self, stream):
+        _scan_clear_reference(stream)
+
+    def test_both_strategies_exercised(self):
+        # Many tracked victims, then a one-row REF: the pop side.
+        dense = [("act", row, bank, 1) for row in range(ROWS) for bank in (0, 1)]
+        _, _, strategies = _scan_clear_reference(dense + [("ref", 5, 1, 0)])
+        assert strategies == {"pop"}
+        # One tracked victim pair, then a full-bank REF: the scan side.
+        _, reference, strategies = _scan_clear_reference(
+            [("act", 3, 0, 0), ("ref", 0, ROWS, 0)]
+        )
+        assert strategies == {"scan"} and reference == {}

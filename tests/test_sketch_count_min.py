@@ -1,6 +1,7 @@
 """Tests for the Count-Min Sketch and its conservative-update variant."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sketch.count_min import ConservativeCountMinSketch, CountMinSketch, SketchConfig
 
@@ -106,12 +107,6 @@ class TestCountMinSketch:
             sketch.update(3)
         assert sketch.num_saturated_counters() >= 1
 
-    def test_estimate_many(self):
-        sketch = make_sketch()
-        sketch.update(1, 4)
-        sketch.update(2, 2)
-        assert sketch.estimate_many([1, 2]) == [4, 2]
-
     def test_mismatched_hash_family_rejected(self):
         from repro.sketch.hashes import ShiftMaskHashFamily
 
@@ -179,3 +174,28 @@ class TestConservativeCountMinSketch:
         sketch = make_sketch(ConservativeCountMinSketch)
         sketch.update(9, 6)
         assert sketch.estimate(9) == 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(st.integers(0, 63), max_size=200),
+        limit=st.integers(1, 12),
+        saturation=st.integers(1, 12),
+    )
+    def test_increment_below_is_estimate_then_conditional_update(
+        self, keys, limit, saturation
+    ):
+        """The single-pass form equals ``estimate`` followed by ``update``
+        whenever the updated count stays below ``limit``."""
+        fused = make_sketch(
+            ConservativeCountMinSketch, counters_per_hash=8, saturation_value=saturation
+        )
+        stepwise = make_sketch(
+            ConservativeCountMinSketch, counters_per_hash=8, saturation_value=saturation
+        )
+        for key in keys:
+            before = stepwise.estimate(key)
+            if before + 1 < limit:
+                stepwise.update(key)
+            assert fused.increment_below(key, limit) == before
+            assert fused.snapshot() == stepwise.snapshot()
+
