@@ -250,6 +250,10 @@ class MemoryController:
         #: cached decision (or cached "nothing to do") is still valid
         #: without re-running command selection.
         self.mutations = 0
+        #: ``(mutations, bank_key)`` of the last accepted READ/WRITE enqueue:
+        #: lets the fast select re-scan only that bank when the enqueue is
+        #: the sole change since its previous demand-stage result.
+        self._last_enqueue: Tuple[int, Optional[Tuple[int, int, int, int]]] = (-1, None)
         #: The struct-of-arrays demand scan applies only when the scheduler
         #: declares exact equivalence (see SchedulingPolicy.SUPPORTS_FAST_SCAN)
         #: and the global fast-path switch was on at construction time.
@@ -391,6 +395,7 @@ class MemoryController:
         self._enqueue_seq += 1
         request.__dict__["_enqueue_seq"] = seq
         bank_key = request.address.bank_key
+        self._last_enqueue = (self.mutations, bank_key)
         self._merged_cache.pop(bank_key, None)
         pending = index.get(bank_key)
         if pending is None:
@@ -765,6 +770,22 @@ class MemoryController:
         The mitigation's ACT throttle is pre-resolved to ``None`` when it is
         the base-class no-op (CoMeT, PARA, Hydra...) so only real throttlers
         (BlockHammer) pay the per-candidate call.
+
+        The closure memoizes its last demand-stage result (stages 1–3 run on
+        every call).  When the only mutation since that result is one
+        accepted READ/WRITE enqueue (``_last_enqueue``), the clock has not
+        moved backwards or past the cached winner's issue cycle, the active
+        queue classes are unchanged after the drain-mode update, and the
+        enqueue did not go into the winner's bank, the scan is seeded with
+        the cached winner and visits the enqueued bank alone; an unchanged
+        winner returns the cached decision tuple itself.  This is exact
+        because every other bank's order key is ``(max(cycle, R), arrival,
+        scan_key)`` with ``R`` independent of ``cycle``, and ``cycle <=
+        memo_issue <= R`` leaves it unchanged.  The memo is off whenever
+        that key shape does not hold: row-policy close candidates, an ACT
+        throttle (BlockHammer) or an Alert Back-Off stall (PRAC).  Stage 4
+        only runs with an empty preventive queue.  Pinned by
+        ``tests/test_select_memo.py``.
         """
         from repro.mitigations.base import RowHammerMitigation
 
@@ -776,6 +797,15 @@ class MemoryController:
             type(mitigation).act_allowed_cycle
             is not RowHammerMitigation.act_allowed_cycle
         )
+        #: The demand-stage memo is exact only when every bank's order key
+        #: is ``(max(cycle, R), arrival, scan_key)`` with ``R`` independent
+        #: of ``cycle``: no close candidates, no ACT throttle, no ABO stall.
+        memoize = not (
+            self._row_policy_closes or act_throttled or self._mitigation_blocks
+        )
+        #: ``(mutations, cycle, reads_active, writes_active, best_order,
+        #: best_kind, best_request, decision)`` of the last demand stage.
+        memo = None
 
         def select(
             cycle: int,
@@ -831,6 +861,7 @@ class MemoryController:
             RD=CommandKind.RD,
             WR=CommandKind.WR,
         ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
+            nonlocal memo
             # Stage 1: periodic refresh (outranks everything).  The guard is
             # _refresh_command's own per-rank "due or owed" test; the helper
             # runs only when some rank trips it.
@@ -875,17 +906,46 @@ class MemoryController:
 
             bank_reads = all_bank_reads if reads_active else _NO_PENDING
             bank_writes = all_bank_writes if writes_active else _NO_PENDING
-            if not bank_writes:
-                # Common case (reads only): scan the read index in place —
-                # no combined key list to allocate.
-                bank_keys = bank_reads
-            elif not bank_reads:
-                bank_keys = bank_writes
-            else:
-                bank_keys = list(bank_reads)
-                bank_keys.extend(
-                    key for key in bank_writes if key not in bank_reads
-                )
+            mutations = self.mutations
+            seeded = None
+            if memo is not None:
+                enqueued_mutations, enqueued_bank = self._last_enqueue
+                (
+                    memo_mutations, memo_cycle, memo_reads, memo_writes,
+                    memo_order, memo_kind, memo_request, memo_decision,
+                ) = memo
+                if (
+                    enqueued_mutations == mutations == memo_mutations + 1
+                    and memo_cycle <= cycle <= memo_order[0]
+                    and reads_active is memo_reads
+                    and writes_active is memo_writes
+                    and memo_request.address.bank_key != enqueued_bank
+                ):
+                    # One enqueue since the memo, and not into the winner's
+                    # bank: every other bank's order key is unchanged, so
+                    # seed the scan with the cached winner and scan only
+                    # the enqueued bank.
+                    best_order = memo_order
+                    best_kind = memo_kind
+                    best_request = memo_request
+                    seeded = memo_decision
+                    bank_keys = (
+                        (enqueued_bank,)
+                        if enqueued_bank in bank_reads or enqueued_bank in bank_writes
+                        else ()
+                    )
+            if seeded is None:
+                if not bank_writes:
+                    # Common case (reads only): scan the read index in
+                    # place — no combined key list to allocate.
+                    bank_keys = bank_reads
+                elif not bank_reads:
+                    bank_keys = bank_writes
+                else:
+                    bank_keys = list(bank_reads)
+                    bank_keys.extend(
+                        key for key in bank_writes if key not in bank_reads
+                    )
 
             for bank_key in bank_keys:
                 reads = bank_reads.get(bank_key)
@@ -1055,7 +1115,14 @@ class MemoryController:
                         best_request = None
 
             if best_order is None:
+                memo = None
                 return None
+            if seeded is not None and best_request is memo_request:
+                memo = (
+                    mutations, cycle, reads_active, writes_active,
+                    best_order, best_kind, best_request, seeded,
+                )
+                return seeded
             if best_command is None:
                 address = best_request.address
                 if best_kind is ACT:
@@ -1084,7 +1151,13 @@ class MemoryController:
                         bank=address.bank,
                         column=address.column,
                     )
-            return best_order[0], best_command, best_request
+            decision = (best_order[0], best_command, best_request)
+            if memoize:
+                memo = (
+                    mutations, cycle, reads_active, writes_active,
+                    best_order, best_kind, best_request, decision,
+                )
+            return decision
 
         return select
 

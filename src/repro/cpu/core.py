@@ -44,12 +44,14 @@ class CoreConfig:
         return self.width * self.cpu_to_mem_ratio
 
 
-@dataclass
 class _OutstandingRead:
     """Book-keeping for one in-flight read."""
 
-    dispatched_instructions: int
-    completion_cycle: Optional[float] = None
+    __slots__ = ("dispatched_instructions", "completion_cycle")
+
+    def __init__(self, dispatched_instructions: int) -> None:
+        self.dispatched_instructions = dispatched_instructions
+        self.completion_cycle: Optional[float] = None
 
 
 @dataclass
@@ -163,7 +165,9 @@ class Core:
     def _dispatch_cycle_for_next_entry(self) -> Union[int, float]:
         entry = self.trace[self._cursor]
         candidate = self._front_cycle + entry.bubble_count / self.config.issue_rate_per_mem_cycle
-        outstanding = list(self._outstanding)
+        # The filter below builds a fresh list, so the first pass can read
+        # ``_outstanding`` directly; ``pop`` only ever touches the copy.
+        outstanding = self._outstanding
         while True:
             outstanding = [
                 read
@@ -223,7 +227,7 @@ class Core:
             self._send_read(address, cycle)
 
     def _send_read(self, address: int, cycle: float) -> None:
-        record = _OutstandingRead(dispatched_instructions=self._dispatched_instructions)
+        record = _OutstandingRead(self._dispatched_instructions)
         self._outstanding.append(record)
         request = MemoryRequest(
             request_type=RequestType.READ,

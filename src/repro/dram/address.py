@@ -45,9 +45,17 @@ class _cached_key:
         return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class DRAMAddress:
-    """A fully decoded DRAM coordinate."""
+    """A fully decoded DRAM coordinate.
+
+    The constructor is hand-written for the same reason ``_cached_key``
+    exists: it writes the fields straight into ``__dict__`` (only
+    ``__setattr__`` is blocked on a frozen dataclass), skipping the
+    generated ``__init__``'s per-field ``object.__setattr__`` calls.
+    Equality, ordering, hashing, repr and pickling are still generated from
+    the fields.
+    """
 
     channel: int
     rank: int
@@ -55,6 +63,20 @@ class DRAMAddress:
     bank: int
     row: int
     column: int
+
+    def __init__(
+        self, channel: int, rank: int, bankgroup: int, bank: int, row: int, column: int
+    ) -> None:
+        fields = self.__dict__
+        fields["channel"] = channel
+        fields["rank"] = rank
+        fields["bankgroup"] = bankgroup
+        fields["bank"] = bank
+        fields["row"] = row
+        fields["column"] = column
+        # Every address the controller queues is asked for its bank key, so
+        # fill that cache here rather than through the descriptor call.
+        fields["bank_key"] = (channel, rank, bankgroup, bank)
 
     # The keys are cached because the same address object is asked for them
     # many times: the FR-FCFS scheduler groups every queued request by
@@ -197,20 +219,30 @@ class AddressMapper:
 
     def encode(self, address: DRAMAddress) -> int:
         """Inverse of :meth:`decode` (returns a cache-line-aligned byte address)."""
-        org = self.config.organization
-        value = address.row
-        value = self._put(value, self._rank_bits, address.rank)
-        value = self._put(
-            value, self._column_bits, address.column // org.columns_per_cacheline
+        return self._encode(
+            address.channel, address.rank, address.bankgroup, address.bank,
+            address.row, address.column,
         )
-        value = self._put(value, self._bank_bits, address.bank)
-        value = self._put(value, self._bankgroup_bits, address.bankgroup)
-        value = self._put(value, self._channel_bits, address.channel)
-        return value << self._offset_bits
 
-    @staticmethod
-    def _put(value: int, bits: int, field: int) -> int:
-        return (value << bits) | field
+    def _encode(
+        self, channel: int, rank: int, bankgroup: int, bank: int, row: int, column: int
+    ) -> int:
+        (
+            offset_bits,
+            channel_bits, _,
+            bankgroup_bits, _,
+            bank_bits, _,
+            column_bits, _,
+            rank_bits, _,
+            _,
+            columns_per_cacheline,
+        ) = self._fields
+        value = (row << rank_bits) | rank
+        value = (value << column_bits) | (column // columns_per_cacheline)
+        value = (value << bank_bits) | bank
+        value = (value << bankgroup_bits) | bankgroup
+        value = (value << channel_bits) | channel
+        return value << offset_bits
 
     # ------------------------------------------------------------------ #
     # Convenience constructors used by workload generators
@@ -227,15 +259,13 @@ class AddressMapper:
         org = self.config.organization
         rank, remainder = divmod(bank_index, org.banks_per_rank)
         bankgroup, bank = divmod(remainder, org.banks_per_bankgroup)
-        return self.encode(
-            DRAMAddress(
-                channel=channel % org.channels,
-                rank=rank % org.ranks_per_channel,
-                bankgroup=bankgroup,
-                bank=bank,
-                row=row % org.rows_per_bank,
-                column=column % org.columns_per_row,
-            )
+        return self._encode(
+            channel % org.channels,
+            rank % org.ranks_per_channel,
+            bankgroup,
+            bank,
+            row % org.rows_per_bank,
+            column % org.columns_per_row,
         )
 
     def all_bank_indices(self) -> List[int]:

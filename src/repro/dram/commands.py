@@ -37,13 +37,20 @@ class CommandKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Command:
     """One DRAM command addressed to a specific location.
 
     ``rank``/``bankgroup``/``bank`` identify the target bank; ``row`` is
     required for ACT, ``column`` for RD/WR.  REF is rank-level and ignores the
     bank fields.
+
+    The controller builds one command per scheduling decision, so the
+    constructor is hand-written: it validates, then writes the fields
+    straight into ``__dict__`` (allowed on a frozen dataclass — only
+    ``__setattr__`` is blocked), which costs half the generated
+    ``__init__`` + ``__post_init__`` pair.  Equality, hashing, repr and
+    pickling are still generated from the fields below.
     """
 
     kind: CommandKind
@@ -56,11 +63,32 @@ class Command:
     is_preventive: bool = False
     metadata: dict = field(default_factory=dict, compare=False, hash=False)
 
-    def __post_init__(self) -> None:
-        if self.kind is CommandKind.ACT and self.row is None:
+    def __init__(
+        self,
+        kind: CommandKind,
+        channel: int = 0,
+        rank: int = 0,
+        bankgroup: int = 0,
+        bank: int = 0,
+        row: Optional[int] = None,
+        column: Optional[int] = None,
+        is_preventive: bool = False,
+        metadata: Optional[dict] = None,
+    ) -> None:
+        if row is None and kind is CommandKind.ACT:
             raise ValueError("ACT command requires a row")
-        if self.kind in (CommandKind.RD, CommandKind.WR) and self.column is None:
-            raise ValueError(f"{self.kind} command requires a column")
+        if column is None and (kind is CommandKind.RD or kind is CommandKind.WR):
+            raise ValueError(f"{kind} command requires a column")
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["channel"] = channel
+        fields["rank"] = rank
+        fields["bankgroup"] = bankgroup
+        fields["bank"] = bank
+        fields["row"] = row
+        fields["column"] = column
+        fields["is_preventive"] = is_preventive
+        fields["metadata"] = {} if metadata is None else metadata
 
     @property
     def bank_key(self) -> tuple:
