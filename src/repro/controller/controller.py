@@ -321,7 +321,7 @@ class MemoryController:
 
         if mitigation is not None:
             mitigation.attach(self)
-            self.dram.add_activation_observer(self._on_activation)
+            self.dram.add_activation_observer(mitigation.on_activation)
             self.dram.add_refresh_observer(self._on_refresh)
         if self._refresh_policy_rfm:
             self.refresh_policy.attach(self)
@@ -454,10 +454,6 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Observers wiring mitigation <-> DRAM
     # ------------------------------------------------------------------ #
-    def _on_activation(self, cycle: int, address: DRAMAddress, is_preventive: bool) -> None:
-        if self.mitigation is not None:
-            self.mitigation.on_activation(cycle, address, is_preventive)
-
     def _on_refresh(
         self, cycle: int, rank_key: Tuple[int, int], start_row: int, count: int
     ) -> None:

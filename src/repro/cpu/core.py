@@ -38,6 +38,14 @@ class CoreConfig:
     cpu_to_mem_ratio: float = 3.0
     max_outstanding_reads: int = 8
 
+    def __post_init__(self) -> None:
+        # Each field divides or bounds the dispatch model: zero or negative
+        # values crash deep inside a run or silently mis-model it.
+        for name in ("width", "window_size", "cpu_to_mem_ratio", "max_outstanding_reads"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"CoreConfig.{name} must be positive, got {value!r}")
+
     @property
     def issue_rate_per_mem_cycle(self) -> float:
         """Instructions the core can dispatch per memory-controller cycle."""

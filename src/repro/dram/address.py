@@ -186,6 +186,19 @@ class AddressMapper:
             self._decode_memo[physical_address] = address
         return address
 
+    def decode_transient(self, physical_address: int) -> DRAMAddress:
+        """:meth:`decode` for an address touched once: reads the memo, never grows it.
+
+        Sampled fidelity's fast-forward replays each skipped trace entry
+        once per phase; memoizing those decodes would only keep objects
+        alive (and promote them into the oldest garbage-collector
+        generation) for no later hit.  Memo hits are still served.
+        """
+        address = self._decode_memo.get(physical_address)
+        if address is None:
+            address = self._decode_slow(physical_address)
+        return address
+
     def _decode_slow(self, physical_address: int) -> DRAMAddress:
         if physical_address < 0:
             raise ValueError("physical address must be non-negative")

@@ -53,6 +53,19 @@ interception is installed as instance attributes for the duration of the
 phase and removed afterwards, so detailed windows always run the pristine
 controller code.
 
+A fast-forwarded entry costs only the work its ACT stream needs.  Each
+controller's functional access is one closure, built once per phase by
+:func:`_bind_functional_access` with the bank lookup, the timing-table
+arrays, the latency constants and the statistics objects pre-bound; the
+fast-forward loop and the injected-traffic hook both call it, and an entry
+without an LLC makes its one access without building any per-entry
+container.  Addresses are decoded with
+:meth:`~repro.dram.address.AddressMapper.decode_transient`, which serves
+hits from the mapper's decode memo but never adds to it: a skipped entry is
+replayed once per phase, so memoizing it would only keep its
+``DRAMAddress`` alive into the oldest garbage-collector generation.  The
+memo therefore holds what the detailed windows decoded, and nothing more.
+
 Security audits should still use full fidelity (see EXPERIMENTS.md): the
 verifier's event stream is complete under sampling, but violation *cycles*
 are estimates.
@@ -74,57 +87,72 @@ from repro.sim.system import SimulationResult, System
 # --------------------------------------------------------------------- #
 # Functional state warming
 # --------------------------------------------------------------------- #
-def _warm_access(
-    ctl, address: DRAMAddress, is_write: bool, cycle: int
-) -> Tuple[int, int]:
-    """Apply one column access functionally; returns ``(service, latency)``.
+def _bind_functional_access(ctl) -> Callable[[DRAMAddress, bool, int], int]:
+    """Build ``ctl``'s functional column access for one fast-forward phase.
 
-    Updates the bank's open-row state, activation counters and statistics
-    exactly as the detailed command sequence (PRE? ACT? RD/WR) would, and
-    fires the activation observers on a demand ACT.  ``service`` estimates
-    the bank/bus occupancy of the access and ``latency`` the read round-trip,
-    both in memory-controller cycles.
+    The returned ``access(address, is_write, cycle)`` updates the bank's
+    open-row state, activation counters and statistics exactly as the
+    detailed command sequence (PRE? ACT? RD/WR) would, fires the activation
+    observers on a demand ACT, and returns the read round-trip estimate in
+    memory-controller cycles.  Everything an access reads that does not
+    change within a phase — the bank lookup by ``bank_key``, the timing
+    table's arrays, the latency constants, the statistics objects — is
+    resolved here once instead of per access.
     """
     dram = ctl.dram
-    bank = dram.bank_for(address)
-    table, i = bank.table, bank.index
+    table = dram.timing_table
+    open_rows = table.open_row
+    col_accesses = table.col_accesses
+    banks = {
+        bank.bank_key: (bank.index, bank.stats, bank.activation_counts)
+        for bank in dram.iter_banks()
+    }
     timing = ctl.dram_config.timing
-    row = address.row
-    open_row = table.open_row[i]
-    if open_row == row:
-        ctl.stats.row_hits += 1
-        service = timing.tBURST
-        latency = timing.tCL + timing.tBURST
-    else:
-        service = timing.tRCD + timing.tBURST
-        latency = timing.tRCD + timing.tCL + timing.tBURST
-        if open_row is not None:
-            # Conflict: the open row is precharged away first.
-            table.open_row[i] = None
-            bank.stats.precharges += 1
-            dram.stats.pres += 1
-            ctl.stats.row_conflicts += 1
-            service += timing.tRP
-            latency += timing.tRP
-        ctl.stats.row_misses += 1
-        table.open_row[i] = row
-        table.col_accesses[i] = 0
-        bank.stats.activations += 1
-        bank.activation_counts[row] = bank.activation_counts.get(row, 0) + 1
-        dram.stats.acts += 1
-        # Observers receive the demand address as the ACT address.  Every
-        # registered observer (mitigations, verifiers, controller stats)
-        # keys on (channel, rank, bankgroup, bank, row) only, so skipping
-        # the column=0 copy the detailed path materializes is free.
-        dram.deliver_activation(cycle, address, False)
-    table.col_accesses[i] += 1
-    if is_write:
-        bank.stats.writes += 1
-        dram.stats.writes += 1
-    else:
-        bank.stats.reads += 1
-        dram.stats.reads += 1
-    return service, latency
+    hit_latency = timing.tCL + timing.tBURST
+    miss_latency = timing.tRCD + timing.tCL + timing.tBURST
+    conflict_latency = miss_latency + timing.tRP
+    ctl_stats = ctl.stats
+    dram_stats = dram.stats
+    deliver = dram.deliver_activation
+
+    def access(address: DRAMAddress, is_write: bool, cycle: int) -> int:
+        index, bank_stats, activation_counts = banks[address.bank_key]
+        row = address.row
+        open_row = open_rows[index]
+        if open_row == row:
+            ctl_stats.row_hits += 1
+            latency = hit_latency
+        else:
+            if open_row is None:
+                latency = miss_latency
+            else:
+                # Conflict: the open row is precharged away first.
+                bank_stats.precharges += 1
+                dram_stats.pres += 1
+                ctl_stats.row_conflicts += 1
+                latency = conflict_latency
+            ctl_stats.row_misses += 1
+            open_rows[index] = row
+            col_accesses[index] = 0
+            bank_stats.activations += 1
+            activation_counts[row] = activation_counts.get(row, 0) + 1
+            dram_stats.acts += 1
+            # Observers receive the demand address as the ACT address.
+            # Every registered observer (mitigations, verifiers, controller
+            # stats) keys on (channel, rank, bankgroup, bank, row) only, so
+            # skipping the column=0 copy the detailed path materializes is
+            # free.
+            deliver(cycle, address, False)
+        col_accesses[index] += 1
+        if is_write:
+            bank_stats.writes += 1
+            dram_stats.writes += 1
+        else:
+            bank_stats.reads += 1
+            dram_stats.reads += 1
+        return latency
+
+    return access
 
 
 def _functional_rank_refresh(ctl, rank_key: Tuple[int, int], cycle: int) -> None:
@@ -219,13 +247,18 @@ def _apply_pending_refreshes(pending: PendingRefreshes) -> None:
 
 
 def _install_functional_hooks(
-    ctl, clock: Dict[str, int], pending: PendingRefreshes
+    ctl,
+    access: Callable[[DRAMAddress, bool, int], int],
+    clock: Dict[str, int],
+    pending: PendingRefreshes,
 ) -> Callable[[], None]:
     """Shadow the mitigation-facing controller entry points for one phase.
 
     Preventive refreshes are appended to ``pending`` rather than applied:
     the caller drains it with :func:`_apply_pending_refreshes` once the ACT
-    delivery that requested them has returned.  Returns an undo callable
+    delivery that requested them has returned.  Injected mitigation traffic
+    goes through ``access``, the phase's functional access for ``ctl`` (see
+    :func:`_bind_functional_access`).  Returns an undo callable
     removing the instance attributes, restoring the class methods for the
     next detailed window.
     """
@@ -242,7 +275,7 @@ def _install_functional_hooks(
         address: DRAMAddress, is_write: bool, cycle: int
     ) -> bool:
         ctl.stats.mitigation_requests += 1
-        _warm_access(ctl, address, is_write, max(int(cycle), clock["now"]))
+        access(address, is_write, max(int(cycle), clock["now"]))
         return True
 
     ctl.schedule_preventive_refresh = schedule_preventive_refresh
@@ -293,10 +326,14 @@ def _fast_forward(
     cores = system.cores
     fabric = system.fabric
     controllers = fabric.controllers
-    mapper = fabric.mapper
+    decode = fabric.mapper.decode_transient
     clock = {"now": int(kernel.now)}
     pending: PendingRefreshes = deque()
-    undos = [_install_functional_hooks(ctl, clock, pending) for ctl in controllers]
+    access_by_channel = [_bind_functional_access(ctl) for ctl in controllers]
+    undos = [
+        _install_functional_hooks(ctl, access, clock, pending)
+        for ctl, access in zip(controllers, access_by_channel)
+    ]
     start = float(kernel.now)
     end = start
 
@@ -332,27 +369,33 @@ def _fast_forward(
                 cycle = int(dispatch)
                 clock["now"] = cycle
 
-                accesses: List[Tuple[int, bool]] = []
+                # An entry makes at most two DRAM accesses, served in order:
+                # ``physical``, then ``then_fill`` (an LLC miss's fill after
+                # its dirty writeback).  A hit makes none.
+                physical = entry.address
+                is_write = entry.is_write
+                then_fill = None
                 if cache is not None:
-                    result = cache.access(entry.address, is_write=entry.is_write)
+                    result = cache.access(physical, is_write=is_write)
                     if result.hit:
                         stats.llc_hits += 1
+                        physical = None
                     else:
                         stats.llc_misses += 1
-                        if result.writeback_address is not None:
-                            accesses.append((result.writeback_address, True))
-                        accesses.append((result.fill_address, False))
-                else:
-                    accesses.append((entry.address, entry.is_write))
+                        if result.writeback_address is None:
+                            physical, is_write = result.fill_address, False
+                        else:
+                            physical, is_write = result.writeback_address, True
+                            then_fill = result.fill_address
 
-                for physical, is_write in accesses:
-                    address = mapper.decode(physical)
+                while physical is not None:
+                    address = decode(physical)
                     channel = address.channel
                     ctl = controllers[channel]
                     if cycle >= refresh_due[channel]:
                         _catch_up_refreshes(ctl, cycle)
                         refresh_due[channel] = min(ctl.next_refresh_due.values())
-                    _, latency = _warm_access(ctl, address, is_write, cycle)
+                    latency = access_by_channel[channel](address, is_write, cycle)
                     if pending:
                         _apply_pending_refreshes(pending)
                     if is_write:
@@ -370,6 +413,7 @@ def _fast_forward(
                             core._last_completion_cycle = completion
                         if completion > stats.finish_cycle:
                             stats.finish_cycle = completion
+                    physical, is_write, then_fill = then_fill, False, None
 
                 core._cursor += 1
                 core._dispatched_instructions += need

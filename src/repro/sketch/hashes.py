@@ -22,6 +22,19 @@ setup (micro-benchmarked in ``benchmarks/test_micro_address_keys.py``).
 Hashing is plain Python integer arithmetic: each sketch operation hashes one
 key, and :meth:`HashFamily.hash_all` returns its whole counter group in one
 call.
+
+:meth:`ShiftMaskHashFamily.hash_all` has a mask-only path for a
+power-of-two bucket count ``2**k`` (CoMeT's Counter Table has 2**k counters
+per hash): it computes ``(((key ^ (key >> s)) * c) >> 7) & (2**k - 1)``, a
+bit-shift and bit-mask hash computed as such, with none of the reference's
+``& _MASK64`` truncations.  It equals the reference
+:meth:`~ShiftMaskHashFamily.hash` for every integer key, because the
+result is bits ``7 .. 6+k`` of the product and, for ``7 + k <= 64``, those
+bits do not depend on whether the fold and the product were first cut to
+64 bits: the low 64 bits of a product depend only on the low 64 bits of
+its factors, in Python's two's-complement integer semantics as in hardware.
+On the reference's non-negative values ``% 2**k`` equals ``& (2**k - 1)``.
+Other bucket counts take the reference arithmetic.
 """
 
 from __future__ import annotations
@@ -32,6 +45,9 @@ from functools import lru_cache
 from typing import List, Sequence
 
 _MASK64 = (1 << 64) - 1
+#: Largest bucket count whose mask ``num_buckets - 1``, applied after the
+#: ``>> 7``, reads only bits below 64 of the product (7 + 57 = 64).
+_MAX_MASKED_BUCKETS = 1 << 57
 
 # Seed salts of the cached constant builders below.
 _SHIFT_MASK_MULT = 0x9E3779B9
@@ -116,8 +132,9 @@ class ShiftMaskHashFamily(HashFamily):
     """Hardware-style hash functions built from bit shifts, XOR folding and masking.
 
     Hash function *i* right-shifts the key by a per-function shift amount,
-    XOR-folds the shifted key with the unshifted key, adds a per-function odd
-    constant, and reduces modulo the number of buckets.  This mirrors the
+    XOR-folds the shifted key with the unshifted key, multiplies by a
+    per-function odd constant, drops the low 7 bits and reduces modulo the
+    number of buckets.  This mirrors the
     "bit-shift and bit-mask" functions CoMeT implements in its Counter Table
     while still distributing typical row-address streams well.
     """
@@ -126,6 +143,14 @@ class ShiftMaskHashFamily(HashFamily):
         super().__init__(num_hashes, num_buckets, seed)
         self._shifts, self._constants = _shift_mask_params(num_hashes, seed)
         self._pairs = tuple(zip(self._shifts, self._constants))
+        #: ``num_buckets - 1`` when :meth:`hash_all`'s mask-only path is
+        #: exact (see the module docstring), else ``None``.
+        self._bucket_mask = (
+            num_buckets - 1
+            if num_buckets & (num_buckets - 1) == 0
+            and num_buckets <= _MAX_MASKED_BUCKETS
+            else None
+        )
 
     def hash(self, index: int, key: int) -> int:
         shift = self._shifts[index]
@@ -135,6 +160,12 @@ class ShiftMaskHashFamily(HashFamily):
         return (mixed >> 7) % self.num_buckets
 
     def hash_all(self, key: int) -> List[int]:
+        mask = self._bucket_mask
+        if mask is not None:
+            return [
+                (((key ^ (key >> shift)) * constant) >> 7) & mask
+                for shift, constant in self._pairs
+            ]
         buckets = self.num_buckets
         return [
             ((((key ^ (key >> shift)) & _MASK64) * constant & _MASK64) >> 7) % buckets

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 
 from repro.controller.controller import ControllerConfig, MemoryController
 from repro.controller.policies import NEVER
@@ -45,6 +46,18 @@ class TestCoreConfig:
     def test_issue_rate(self):
         config = CoreConfig(width=4, cpu_to_mem_ratio=3.0)
         assert config.issue_rate_per_mem_cycle == 12.0
+
+    @pytest.mark.parametrize(
+        "field", ["width", "window_size", "cpu_to_mem_ratio", "max_outstanding_reads"]
+    )
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
+    def test_non_positive_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"CoreConfig.{field} must be positive"):
+            CoreConfig(**{field: value})
+
+    def test_smallest_positive_values_accepted(self):
+        config = CoreConfig(width=1, window_size=1, cpu_to_mem_ratio=0.5, max_outstanding_reads=1)
+        assert config.issue_rate_per_mem_cycle == 0.5
 
 
 class TestCoreBasics:

@@ -151,6 +151,19 @@ class TestSpecValidation:
         assert hash(spec) == hash(same)
         assert len({spec, same}) == 1
 
+    @pytest.mark.parametrize(
+        "field", ["width", "window_size", "cpu_to_mem_ratio", "max_outstanding_reads"]
+    )
+    def test_nonpositive_core_field_rejected_through_json(self, field):
+        """A spec file cannot smuggle a non-positive core parameter past
+        ``CoreConfig``'s check: decoding raises before anything runs."""
+        spec = simple_spec(platform=PlatformSpec(core=CoreConfig()))
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
+        data = json.loads(spec.to_json())
+        data["platform"]["core"]["fields"][field] = 0
+        with pytest.raises(ValueError, match=f"CoreConfig.{field} must be positive"):
+            ExperimentSpec.from_json(json.dumps(data))
+
     def test_override_order_does_not_matter(self):
         a = MitigationSpec(name="para", nrh=125, overrides={"seed": 3, "blast_radius": 2})
         b = MitigationSpec(name="para", nrh=125, overrides={"blast_radius": 2, "seed": 3})

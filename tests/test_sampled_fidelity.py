@@ -18,12 +18,23 @@ Three guarantees, in decreasing order of strictness:
   byte-identical to before the fidelity axis existed.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.controller.fabric import ChannelFabric
 from repro.experiment.execute import execute_spec
-from repro.experiment.spec import ExperimentSpec, SampledConfig
+from repro.experiment.spec import (
+    ExperimentSpec,
+    MitigationSpec,
+    PlatformSpec,
+    SampledConfig,
+    WorkloadSpec,
+)
+from repro.sim.sampled import _bind_functional_access, run_sampled
 from repro.sim.sweep import spec_cache_key
+from repro.sim.system import System, SystemConfig
 
 #: Relative IPC tolerance for sampled runs on the workloads below.  The
 #: calibrated pace tracks full fidelity to within a few percent (see
@@ -294,3 +305,157 @@ class TestPreventiveRefreshQueue:
         assert sampled.max_disturbance == pytest.approx(
             full.max_disturbance, rel=DISTURBANCE_TOLERANCE
         )
+
+
+def _reference_warm_access(ctl, address, is_write, cycle):
+    """A naive functional access: every object is looked up through the
+    controller on every call.  The oracle :func:`_bind_functional_access`
+    must match field for field; returns the read round-trip latency.
+    """
+    dram = ctl.dram
+    bank = dram.bank_for(address)
+    table, i = bank.table, bank.index
+    timing = ctl.dram_config.timing
+    row = address.row
+    open_row = table.open_row[i]
+    if open_row == row:
+        ctl.stats.row_hits += 1
+        latency = timing.tCL + timing.tBURST
+    else:
+        latency = timing.tRCD + timing.tCL + timing.tBURST
+        if open_row is not None:
+            table.open_row[i] = None
+            bank.stats.precharges += 1
+            dram.stats.pres += 1
+            ctl.stats.row_conflicts += 1
+            latency += timing.tRP
+        ctl.stats.row_misses += 1
+        table.open_row[i] = row
+        table.col_accesses[i] = 0
+        bank.stats.activations += 1
+        bank.activation_counts[row] = bank.activation_counts.get(row, 0) + 1
+        dram.stats.acts += 1
+        dram.deliver_activation(cycle, address, False)
+    table.col_accesses[i] += 1
+    if is_write:
+        bank.stats.writes += 1
+        dram.stats.writes += 1
+    else:
+        bank.stats.reads += 1
+        dram.stats.reads += 1
+    return latency
+
+
+def _functional_fabric(channels):
+    """A CoMeT-protected fabric plus a recording ACT observer per channel."""
+    dram_config = PlatformSpec(channels=channels).dram_config()
+    fabric = ChannelFabric(
+        dram_config,
+        mitigations=MitigationSpec("comet", nrh=64).build_instances(channels),
+    )
+    delivered = []
+    for ctl in fabric.controllers:
+        ctl.dram.add_activation_observer(
+            lambda cycle, address, is_preventive: delivered.append(
+                (cycle, address.row_key, is_preventive)
+            )
+        )
+    return fabric, delivered
+
+
+def _functional_state(fabric, delivered):
+    state = {"delivered": delivered}
+    for ctl in fabric.controllers:
+        dram = ctl.dram
+        state[ctl.channel] = {
+            "open_row": list(dram.timing_table.open_row),
+            "col_accesses": list(dram.timing_table.col_accesses),
+            "banks": {
+                bank.bank_key: (vars(bank.stats), dict(bank.activation_counts))
+                for bank in dram.iter_banks()
+            },
+            "dram": vars(dram.stats),
+            "controller": vars(ctl.stats),
+            "mitigation": vars(ctl.mitigation.stats),
+        }
+    return state
+
+
+#: One access: (row, flat bank index, column, channel, is_write).  Few rows
+#: and banks, so hits, misses and conflicts all occur; NRH=64 with runs of
+#: one row makes CoMeT act on the stream too.
+_ACCESS = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 1),
+    st.booleans(),
+)
+
+
+class TestBoundFunctionalAccess:
+    """The phase-bound functional access is the reference access, exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        channels=st.sampled_from([1, 2]),
+        stream=st.lists(st.tuples(_ACCESS, st.integers(1, 3)), max_size=300),
+    )
+    def test_matches_reference(self, channels, stream):
+        self._compare(channels, stream)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_matches_reference_while_mitigating(self, channels):
+        """Double-sided hammering on both channels: CoMeT schedules
+        preventive refreshes from inside the bound access's ACT delivery."""
+        stream = [((row, 0, 0, turn % 2, False), 1) for turn in range(400) for row in (1, 3)]
+        bound = self._compare(channels, stream)
+        assert all(ctl.stats.preventive_refreshes > 0 for ctl in bound.controllers)
+
+    @staticmethod
+    def _compare(channels, stream):
+        reference, reference_acts = _functional_fabric(channels)
+        bound, bound_acts = _functional_fabric(channels)
+        accesses = [_bind_functional_access(ctl) for ctl in bound.controllers]
+        mapper = reference.mapper
+        cycle = 0
+        for (row, bank_index, column, channel, is_write), repeat in stream:
+            physical = mapper.address_for_row(
+                row, bank_index=bank_index, column=column, channel=channel % channels
+            )
+            address = mapper.decode(physical)
+            ctl = reference.controllers[address.channel]
+            for _ in range(repeat):
+                cycle += 7
+                expected = _reference_warm_access(ctl, address, is_write, cycle)
+                assert accesses[address.channel](address, is_write, cycle) == expected
+        assert _functional_state(bound, bound_acts) == _functional_state(
+            reference, reference_acts
+        )
+        return bound
+
+
+class TestFastForwardFootprint:
+    def test_decode_memo_holds_only_detailed_decodes(self):
+        """Fast-forward decodes each skipped entry without memoizing it, so
+        after a sampled run the mapper's decode memo holds at most the
+        entries the detailed windows replayed."""
+        workload = WorkloadSpec("synth_uniform", num_requests=6000, num_cores=2)
+        config = SampledConfig(interval=1000, detailed_window=100, warmup=100)
+        dram_config = PlatformSpec(channels=2).dram_config()
+        traces = workload.build_traces(dram_config)
+        system = System(
+            list(traces),
+            mitigation=MitigationSpec("comet", nrh=250).build_instances(2),
+            config=SystemConfig(dram=dram_config, nrh_for_verification=250),
+        )
+        result = run_sampled(system, config)
+        assert result.read_requests + result.write_requests == 2 * 6000
+
+        windows = math.ceil((6000 - config.warmup) / config.interval)
+        per_core = config.warmup + windows * config.detailed_window
+        memo = system.fabric.mapper._decode_memo
+        assert len(memo) <= per_core * len(traces)
+        # The bound has teeth: the traces touch far more distinct lines.
+        distinct = {entry.address for trace in traces for entry in trace}
+        assert len(distinct) > 3 * per_core * len(traces)

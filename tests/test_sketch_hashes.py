@@ -1,6 +1,7 @@
 """Tests for the hash families used by the sketch-based trackers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sketch.hashes import (
     MultiplyShiftHashFamily,
@@ -20,6 +21,40 @@ def test_hash_within_range(family_cls):
         for index in range(4):
             value = family.hash(index, key)
             assert 0 <= value < 512
+
+
+#: Keys over [0, 2**40), weighted around 2**32 (where the fold times a
+#: 32-bit constant first overflows 64 bits) and towards row-sized keys, plus
+#: a few negatives.
+_KEYS = st.one_of(
+    st.integers(0, (1 << 40) - 1),
+    st.integers((1 << 32) - 256, (1 << 32) + 256),
+    st.integers(0, 1 << 17),
+    st.integers(-256, -1),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    key=_KEYS,
+    num_buckets=st.sampled_from([1, 512, 1000, 1024, 1 << 57, 1 << 58]),
+    num_hashes=st.integers(1, 8),
+    seed=st.integers(0, 40),
+)
+def test_shift_mask_hash_all_matches_masked_reference(key, num_buckets, num_hashes, seed):
+    """``hash_all``'s mask-only path (power-of-two buckets up to 2**57) and
+    its fallback both equal the per-function ``hash``, which keeps the
+    64-bit-truncated, modulo-reduced form as the reference."""
+    family = ShiftMaskHashFamily(num_hashes, num_buckets, seed=seed)
+    assert family.hash_all(key) == [family.hash(i, key) for i in range(num_hashes)]
+
+
+@pytest.mark.parametrize("key", [0, 1, (1 << 17) - 1, (1 << 32) - 1, 1 << 32, (1 << 40) - 1])
+@pytest.mark.parametrize("seed", [0, 5, 16])
+def test_shift_mask_hash_all_boundaries(key, seed):
+    for buckets in (1, 512, 1000, 1024, 1 << 57, 1 << 58):
+        family = ShiftMaskHashFamily(4, buckets, seed=seed)
+        assert family.hash_all(key) == [family.hash(i, key) for i in range(4)]
 
 
 @pytest.mark.parametrize("family_cls", FAMILIES)
