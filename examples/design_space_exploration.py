@@ -16,14 +16,16 @@ carries a :class:`~repro.core.config.CoMeTConfig` override — config
 dataclasses serialize right inside the spec JSON, so these sensitivity
 points are cacheable and archivable like any other experiment.  All three
 sweeps (plus the shared baseline) execute in one :class:`repro.Session`
-batch: specs fan out across worker processes and cached results are reused
-across runs.
+batch: specs fan out across worker processes and land in the result store
+(``$REPRO_CAMPAIGN_STORE`` or ``~/.cache/repro/campaigns``), so re-running
+the example reuses every result.
 
 Run with:  python examples/design_space_exploration.py
 """
 
 from repro import ExperimentSpec, ExperimentWorkloadSpec, MitigationSpec, Session
 from repro.analysis.reporting import format_table
+from repro.campaign.store import default_store_dir
 from repro.core.config import CoMeTConfig
 
 NRH = 125
@@ -62,7 +64,7 @@ def main() -> None:
         for k in RESET_DIVIDERS
     ]
 
-    session = Session()
+    session = Session(store=default_store_dir())
     all_specs = [baseline_spec, *ct_specs, *rat_specs, *reset_specs]
     records = session.run_many(all_specs)
     results = [record.result for record in records]

@@ -10,14 +10,16 @@ The whole grid is expressed declaratively: :func:`repro.expand_grid` expands
 workloads x mitigations x thresholds into :class:`repro.ExperimentSpec`
 objects (plus one threshold-independent baseline per workload) and a
 :class:`repro.Session` executes them — runs fan out across worker processes
-and land in the on-disk result cache, so re-running the example (or any
-other sweep sharing specs with it) is nearly instant.
+and land in the result store (``$REPRO_CAMPAIGN_STORE`` or
+``~/.cache/repro/campaigns``), so re-running the example (or any other sweep
+or campaign sharing specs with it) is nearly instant.
 
 Run with:  python examples/mitigation_comparison.py
 """
 
 from repro import Session, expand_grid
 from repro.analysis.reporting import format_table
+from repro.campaign.store import default_store_dir
 from repro.energy.model import DRAMEnergyModel
 from repro.dram.dram_system import DRAMStatistics
 from repro.sim.metrics import geometric_mean
@@ -45,7 +47,7 @@ def main() -> None:
         nrhs=THRESHOLDS,
         num_requests=NUM_REQUESTS,
     )
-    session = Session()
+    session = Session(store=default_store_dir())
     records = session.run_many(specs)
     results = {
         (s.workload.name, s.mitigation.name, s.mitigation.nrh): r.result

@@ -52,9 +52,6 @@ from repro.sim import (
     System,
     SystemConfig,
     SimulationResult,
-    run_single_core,
-    run_multi_core,
-    compare_single_core,
     normalized_ipc,
 )
 from repro.sim.runner import default_experiment_config, build_mitigation
@@ -93,9 +90,6 @@ __all__ = [
     "System",
     "SystemConfig",
     "SimulationResult",
-    "run_single_core",
-    "run_multi_core",
-    "compare_single_core",
     "normalized_ipc",
     "default_experiment_config",
     "build_mitigation",

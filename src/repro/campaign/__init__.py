@@ -1,22 +1,21 @@
 """Distributed, resumable experiment campaigns.
 
-This package scales the one-shot :class:`~repro.sim.sweep.SweepRunner` grid
-into a *campaign*: a persistent, content-addressed results database plus a
-pluggable work queue that any number of workers — in one process, many
-processes or many hosts — can drain cooperatively, with crash recovery at
-every layer.
+This package scales a one-shot :class:`~repro.experiment.session.Session`
+grid into a *campaign*: a persistent, content-addressed results database
+plus a pluggable work queue that any number of workers — in one process or
+many processes — can drain cooperatively, with crash recovery at every
+layer.
 
 * :class:`~repro.campaign.store.ResultStore` — versioned
   :class:`~repro.experiment.session.RunRecord` JSONs indexed by canonical
   spec hash; atomic writes, checksummed reads, corrupt-file quarantine and
-  incremental invalidation on ``SWEEP_CACHE_VERSION`` bumps.
+  incremental invalidation on ``CACHE_VERSION`` bumps.
 * :class:`~repro.campaign.queue.WorkQueue` — the backend interface
-  (claim/ack with lease-based reclaim of abandoned work), with three
-  registered implementations: in-memory FIFO/priority for local runs, a
-  directory-backed claim-file queue and a sqlite-backed queue for
-  multi-process / multi-host work stealing.  One shared conformance suite
-  (``tests/test_campaign_queue.py``) pins every backend to the same
-  semantics, frontera-style.
+  (claim/ack with lease-based reclaim of abandoned work), with two
+  registered implementations: in-memory FIFO/priority for local runs and a
+  sqlite-backed queue for multi-process work stealing.  One shared
+  conformance suite (``tests/test_campaign_queue.py``) pins every backend to
+  the same semantics, frontera-style.
 * :class:`~repro.campaign.runner.CampaignRunner` — expands a declarative
   :class:`~repro.experiment.spec.CampaignSpec` into queue items, drives N
   workers through the store, checkpoints progress and resumes after a kill
@@ -26,7 +25,7 @@ every layer.
   without simulating.
 """
 
-from repro.campaign.backends import DirectoryQueue, MemoryQueue, SqliteQueue
+from repro.campaign.backends import MemoryQueue, SqliteQueue
 from repro.campaign.queue import (
     QueueCounts,
     WorkItem,
@@ -45,7 +44,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "CampaignStatus",
-    "DirectoryQueue",
     "MemoryQueue",
     "QueueCounts",
     "ResultStore",

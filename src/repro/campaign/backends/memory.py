@@ -3,7 +3,7 @@
 The local-run backend: no persistence (a killed process loses its queue,
 though never its *results* — those live in the store), but exact conformance
 semantics, so a campaign developed against ``memory`` behaves identically
-on ``directory`` or ``sqlite``.
+on ``sqlite``.
 """
 
 from __future__ import annotations

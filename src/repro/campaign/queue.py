@@ -9,11 +9,11 @@ pending set and another worker re-executes it (results are deterministic,
 so re-execution is always safe — at-least-once delivery is the contract,
 exactly-once *storage* comes from the store's content addressing).
 
-Backends register under a short name (``memory`` / ``directory`` /
-``sqlite``) via :func:`register_backend` and are constructed through
-:func:`create_backend` — the frontera pattern: one interface, many
-interchangeable implementations, one shared conformance suite
-(``tests/test_campaign_queue.py``) that every backend must pass.
+Backends register under a short name (``memory`` / ``sqlite``) via
+:func:`register_backend` and are constructed through :func:`create_backend`
+— the frontera pattern: one interface, interchangeable implementations,
+one shared conformance suite (``tests/test_campaign_queue.py``) that every
+backend must pass.
 
 Ordering contract (shared by every backend):
 

@@ -91,9 +91,8 @@ class CampaignRunner:
         A :class:`ResultStore` or a path to create one at.
     queue:
         A :class:`WorkQueue` instance, or a registered backend name
-        (``memory`` / ``directory`` / ``sqlite``).  Named persistent
-        backends default their path to ``<store>/queue`` /
-        ``<store>/queue.sqlite``, so one ``--store`` flag is a complete
+        (``memory`` / ``sqlite``).  The sqlite backend defaults its path
+        to ``<store>/queue.sqlite``, so one ``--store`` flag is a complete
         campaign address.
     max_workers:
         Worker processes; ``0``/``1`` executes inline, ``None`` uses
@@ -143,9 +142,7 @@ class CampaignRunner:
         if name == "memory":
             return create_backend(name, clock=clock)
         if queue_path is None:
-            queue_path = self.store.root / (
-                "queue.sqlite" if name == "sqlite" else "queue"
-            )
+            queue_path = self.store.root / "queue.sqlite"
         return create_backend(name, path=queue_path, clock=clock)
 
     # ------------------------------------------------------------------ #

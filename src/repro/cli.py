@@ -38,7 +38,8 @@ through a :class:`~repro.experiment.session.Session`.
 
 ``python -m repro.cli sweep --workloads 429.mcf --mitigations comet para --nrh 1000 125``
     Fan a mitigation x threshold grid across worker processes through the
-    on-disk result cache and print every point (Figures 6-9 pattern).
+    content-addressed result store (``--cache-dir``, the same store
+    ``campaign`` writes) and print every point (Figures 6-9 pattern).
     ``--scheduler/--row-policy/--refresh-policy`` accept several values and
     become controller-policy sweep axes (every workload x mitigation x NRH
     cell repeated per policy triple, each normalized to a baseline running
@@ -95,6 +96,8 @@ from repro.controller.policies import (
     scheduler_names,
 )
 from repro.experiment.registry import (
+    UnknownMitigationError,
+    UnknownWorkloadError,
     mitigation_entries,
     mitigation_names,
     registered_workload_names,
@@ -112,19 +115,27 @@ from repro.experiment.spec import (
 from repro.workloads.suite import workloads_by_category
 
 
+def _positive_int(value: str) -> int:
+    """Argparse type for thresholds and counts (``--nrh``, ``--requests``,
+    ``--cores``): a one-line usage error instead of a traceback from the
+    spec validators (possibly inside a worker process)."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {number}")
+    return number
+
+
 def _channel_count(value: str) -> int:
     """Argparse type for ``--channels``: a positive power of two.
 
     The interleaved address mapping slices fixed-width bit fields, so a
-    non-power-of-two channel count would alias coordinates; rejecting it
-    here gives a one-line CLI error instead of a traceback from the
-    geometry validator (possibly inside a sweep worker process).
+    non-power-of-two channel count would alias coordinates.
     """
-    try:
-        channels = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
-    if channels < 1 or channels & (channels - 1):
+    channels = _positive_int(value)
+    if channels & (channels - 1):
         raise argparse.ArgumentTypeError(
             f"channel count must be a positive power of two, got {channels}"
         )
@@ -274,9 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=mitigation_names(),
         help="mitigation mechanism (default: comet)",
     )
-    attack_parser.add_argument("--nrh", type=int, default=125, help="RowHammer threshold")
     attack_parser.add_argument(
-        "--requests", type=int, default=6000, help="attack trace length"
+        "--nrh", type=_positive_int, default=125, help="RowHammer threshold"
+    )
+    attack_parser.add_argument(
+        "--requests", type=_positive_int, default=6000, help="attack trace length"
     )
     attack_parser.add_argument(
         "--channels", type=_channel_count, default=1,
@@ -302,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="mitigation mechanisms to sweep",
     )
     sweep_parser.add_argument(
-        "--nrh", type=int, nargs="+", default=[1000, 125], help="RowHammer thresholds"
+        "--nrh", type=_positive_int, nargs="+", default=[1000, 125],
+        help="RowHammer thresholds",
     )
     sweep_parser.add_argument(
         "--channels", type=_channel_count, nargs="+", default=[1],
@@ -310,18 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_policy_arguments(sweep_parser, sweepable=True)
     sweep_parser.add_argument(
-        "--requests", type=int, default=8000, help="trace length in requests"
+        "--requests", type=_positive_int, default=8000, help="trace length in requests"
     )
     sweep_parser.add_argument(
         "--workers", type=int, default=None,
         help="worker processes (default: one per CPU; 0 runs inline)",
     )
-    sweep_parser.add_argument(
-        "--cache-dir", default=None, help="result cache directory (see EXPERIMENTS.md)"
-    )
-    sweep_parser.add_argument(
-        "--no-cache", action="store_true", help="bypass the on-disk result cache"
-    )
+    _add_cache_arguments(sweep_parser)
 
     audit_parser = subparsers.add_parser(
         "audit",
@@ -336,11 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="adversarial patterns ('all' = every synth_* and attack_* workload)",
     )
     audit_parser.add_argument(
-        "--nrh", type=int, nargs="+", default=None,
+        "--nrh", type=_positive_int, nargs="+", default=None,
         help="RowHammer thresholds (default: each mechanism's design threshold)",
     )
     audit_parser.add_argument(
-        "--requests", type=int, default=6000, help="trace length per pattern"
+        "--requests", type=_positive_int, default=6000, help="trace length per pattern"
     )
     audit_parser.add_argument(
         "--channels", type=_channel_count, default=1,
@@ -362,12 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="worker processes (default: one per CPU; 0 runs inline)",
     )
-    audit_parser.add_argument(
-        "--cache-dir", default=None, help="result cache directory (see EXPERIMENTS.md)"
-    )
-    audit_parser.add_argument(
-        "--no-cache", action="store_true", help="bypass the on-disk result cache"
-    )
+    _add_cache_arguments(audit_parser)
 
     campaign_parser = subparsers.add_parser(
         "campaign",
@@ -399,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=mitigation_names(), help="mitigation mechanisms",
     )
     crun.add_argument(
-        "--nrh", type=int, nargs="+", default=[125], help="RowHammer thresholds"
+        "--nrh", type=_positive_int, nargs="+", default=[125], help="RowHammer thresholds"
     )
     crun.add_argument(
-        "--requests", type=int, default=8000, help="trace length in requests"
+        "--requests", type=_positive_int, default=8000, help="trace length in requests"
     )
-    crun.add_argument("--cores", type=int, default=1, help="cores per cell")
+    crun.add_argument("--cores", type=_positive_int, default=1, help="cores per cell")
     crun.add_argument(
         "--channels", type=_channel_count, nargs="+", default=[1],
         help="memory channel counts (grid axis)",
@@ -464,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     area_parser = subparsers.add_parser("area", help="print the Table 4 area comparison")
-    area_parser.add_argument("--nrh", type=int, default=125, help="RowHammer threshold")
+    area_parser.add_argument(
+        "--nrh", type=_positive_int, default=125, help="RowHammer threshold"
+    )
 
     return parser
 
@@ -483,6 +489,17 @@ def _add_campaign_store_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="result store directory (default: $REPRO_CAMPAIGN_STORE or "
+        "~/.cache/repro/campaigns; see EXPERIMENTS.md)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="run without the result store"
+    )
+
+
 def _store_from_args(args: argparse.Namespace):
     from repro.campaign import ResultStore, default_store_dir
 
@@ -491,8 +508,13 @@ def _store_from_args(args: argparse.Namespace):
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", default="429.mcf", help="workload name (see `workloads`)")
-    parser.add_argument("--nrh", type=int, default=125, help="RowHammer threshold")
-    parser.add_argument("--requests", type=int, default=8000, help="trace length in requests")
+    parser.add_argument(
+        "--nrh", type=_positive_int, default=125, help="RowHammer threshold"
+    )
+    parser.add_argument(
+        "--requests", type=_positive_int, default=8000,
+        help="trace length in requests",
+    )
     parser.add_argument(
         "--channels", type=_channel_count, default=1,
         help="memory channels (fabric width)",
@@ -501,14 +523,14 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _session(args: Optional[argparse.Namespace] = None) -> Session:
-    """A Session honouring the sweep flags (other commands run uncached)."""
-    if args is not None and hasattr(args, "workers"):
-        return Session(
-            max_workers=args.workers,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-        )
-    return Session(max_workers=0, use_cache=False)
+    """A Session honouring the sweep/audit flags (other commands run
+    inline and uncached)."""
+    if args is None:
+        return Session(max_workers=0)
+    from repro.campaign.store import default_store_dir
+
+    store = None if args.no_cache else (args.cache_dir or default_store_dir())
+    return Session(max_workers=args.workers, store=store)
 
 
 def _command_list(_args: argparse.Namespace) -> str:
@@ -973,7 +995,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    output = _COMMANDS[args.command](args)
+    try:
+        output = _COMMANDS[args.command](args)
+    except (UnknownMitigationError, UnknownWorkloadError) as exc:
+        # Names are resolved when specs are built, before anything runs.
+        parser.error(str(exc))
     print(output)
     return 0
 

@@ -1,10 +1,9 @@
-"""Crash-safe filesystem primitives shared by the on-disk caches and stores.
+"""Crash-safe filesystem primitives for the on-disk result store.
 
-Every byte the sweep cache (:mod:`repro.sim.sweep`) or the campaign result
-store (:mod:`repro.campaign.store`) persists goes through
-:func:`atomic_write_bytes`: the payload lands in a same-directory temporary
-file first and is published with :func:`os.replace`, which POSIX guarantees
-to be atomic.  A reader therefore only ever sees a complete file or no file
+Every byte the result store (:mod:`repro.campaign.store`) persists goes
+through :func:`atomic_write_bytes`: the payload lands in a same-directory
+temporary file first and is published with :func:`os.replace`, which POSIX
+guarantees to be atomic.  A reader therefore only ever sees a complete file or no file
 — never a torn write from a worker that was killed mid-``write``.
 """
 

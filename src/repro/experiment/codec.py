@@ -1,8 +1,8 @@
 """JSON codec for the values an :class:`~repro.experiment.spec.ExperimentSpec`
 carries.
 
-Specs must round-trip through JSON (the CLI's ``--spec`` path, the sweep
-cache key, RunRecord archives), but mitigation overrides and platform
+Specs must round-trip through JSON (the CLI's ``--spec`` path, the result-store
+key, RunRecord archives), but mitigation overrides and platform
 configurations are dataclasses (:class:`~repro.core.config.CoMeTConfig`,
 :class:`~repro.dram.config.DRAMConfig`, ...).  The codec encodes any frozen
 ``repro`` dataclass as a tagged object::

@@ -6,9 +6,9 @@ carries a ``@register_mitigation("comet")`` decorator, a trace builder a
 ``@register_workload("attack_traditional", category="attack")`` decorator,
 and the synthetic suite registers each of its :class:`WorkloadSpec` entries
 when :mod:`repro.workloads.suite` is imported.  Everything that needs to
-resolve a name — the CLI, the :class:`~repro.experiment.session.Session`
-facade, the sweep executor, the legacy ``build_mitigation`` helpers — looks
-it up here, so there is exactly one table of record.
+resolve a name — the CLI, spec construction and execution, the
+``build_mitigation`` helpers — looks it up here, so there is exactly one
+table of record.
 
 Registry entries carry construction metadata so call sites need no
 special-casing:

@@ -1,15 +1,16 @@
-"""The Session facade: execute experiment specs through the sweep machinery.
+"""The Session facade: execute experiment specs through one result store.
 
 A :class:`Session` turns :class:`~repro.experiment.spec.ExperimentSpec`
 objects into :class:`RunRecord` results.  One spec, a list of specs or a
-whole grid expansion all go through the same path — the
-:class:`~repro.sim.sweep.SweepRunner` — so every run is memoized on disk
-(keyed by the spec's canonical-JSON content hash) and lists fan out across
-worker processes exactly like the figure sweeps do.
+whole grid expansion all go through :meth:`Session.run_many`: each spec is
+looked up in the session's :class:`~repro.campaign.store.ResultStore`
+(keyed by the spec's canonical-JSON content hash), misses fan out across
+the shared worker pool, and every result lands in the store the moment it
+completes.  Without a store the session runs uncached.
 
     from repro.experiment import ExperimentSpec, MitigationSpec, Session, WorkloadSpec
 
-    session = Session()
+    session = Session(store="results/")
     record = session.run(
         ExperimentSpec(
             workload=WorkloadSpec(name="429.mcf", num_requests=8000),
@@ -21,11 +22,14 @@ worker processes exactly like the figure sweeps do.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Union
 
 from repro.experiment.codec import decode_value, encode_value
+from repro.experiment.execute import execute_spec
 from repro.experiment.spec import (
     CampaignSpec,
     ExperimentSpec,
@@ -35,14 +39,21 @@ from repro.experiment.spec import (
     WorkloadSpec,
     expand_grid,
 )
-from repro.sim.sweep import SWEEP_CACHE_VERSION, SweepRunner
+from repro.sim.pool import shared_pool
 from repro.sim.system import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (audit imports spec)
+    from repro.campaign.store import ResultStore
     from repro.security.audit import SecurityReport
 
 #: Bump when the RunRecord schema changes incompatibly.
 RECORD_VERSION = 1
+
+#: Bump when simulation semantics change in a way that invalidates stored
+#: results (scheduler behaviour, trace generation, statistics definitions).
+#: Every store record and record provenance embeds it as ``cache_version``,
+#: so a bump turns older records into misses in place.
+CACHE_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -92,70 +103,83 @@ class RunRecord:
 
 
 class Session:
-    """Executes experiment specs with caching and parallel fan-out.
+    """Executes experiment specs through an optional result store.
 
     Parameters
     ----------
     max_workers:
         Worker processes for lists/grids (``0``/``1`` runs inline;
         ``None`` uses ``os.cpu_count()``).
-    cache_dir:
-        On-disk result cache directory (``None``: ``$REPRO_SWEEP_CACHE`` or
-        ``~/.cache/repro/sweeps``); ``use_cache=False`` disables caching.
     store:
-        Optional campaign :class:`~repro.campaign.store.ResultStore` (or a
-        path to open one at).  When given, spec runs cache through the
-        store's versioned RunRecord JSONs instead of the pickle cache, so
-        interactive runs, sweeps and campaigns all share one database.
+        A :class:`~repro.campaign.store.ResultStore`, or a path to open one
+        at.  Results are read from and written to its versioned RunRecord
+        JSONs, so interactive runs, sweeps and campaigns share one
+        database.  ``None`` runs every spec uncached.
     """
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
-        use_cache: bool = True,
-        store: Optional[Any] = None,
+        store: Optional[Union["ResultStore", str, Path]] = None,
     ) -> None:
         if isinstance(store, (str, Path)):
             from repro.campaign.store import ResultStore
 
             store = ResultStore(store)
+        self.max_workers = (os.cpu_count() or 1) if max_workers is None else max_workers
         self._store = store
-        self._runner = SweepRunner(
-            max_workers=max_workers,
-            cache_dir=Path(cache_dir) if cache_dir is not None else None,
-            use_cache=use_cache,
-            store=store,
-        )
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
     def run(self, spec: ExperimentSpec) -> RunRecord:
-        """Execute one spec (through the cache) and return its record."""
+        """Execute one spec (through the store) and return its record."""
         return self.run_many([spec])[0]
 
     def run_many(self, specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
-        """Execute a list of specs; results come back in input order.
+        """Execute a list of specs; records come back in input order.
 
-        Cache misses fan out across worker processes; each completed run is
-        written to the cache the moment it lands, so interrupting a long
-        batch keeps the finished points.
+        Store misses run inline when there is one miss or
+        ``max_workers <= 1``, and otherwise fan out across the shared warm
+        pool (:mod:`repro.sim.pool`).  Each result is written to the store
+        the moment it lands, so interrupting a long batch keeps the
+        finished specs.
         """
         specs = list(specs)
-        cached_flags: Dict[int, bool] = {}
+        store = self._store
+        results: List[Optional[SimulationResult]] = [None] * len(specs)
+        from_cache = [False] * len(specs)
+        pending: List[int] = []
+        for index, spec in enumerate(specs):
+            cached = store.get_result(spec) if store is not None else None
+            if cached is None:
+                pending.append(index)
+            else:
+                results[index] = cached
+                from_cache[index] = True
 
-        def progress(spec, result, from_cache):
-            cached_flags[id(spec)] = from_cache
+        def finish(index: int, result: SimulationResult) -> None:
+            if store is not None:
+                store.put_result(specs[index], result)
+            results[index] = result
 
-        results = self._runner.run(specs, progress=progress)
+        if self.max_workers <= 1 or len(pending) == 1:
+            for index in pending:
+                finish(index, execute_spec(specs[index]))
+        elif pending:
+            # The shared pool outlives this call on purpose: consecutive
+            # batches reuse hot workers instead of paying spawn + import.
+            pool = shared_pool(min(self.max_workers, len(pending)))
+            futures = {
+                pool.submit(execute_spec, specs[index]): index for index in pending
+            }
+            for future in as_completed(futures):
+                finish(futures[future], future.result())
         return [
             RunRecord(
-                spec=spec,
-                result=result,
-                provenance=self._provenance(spec, cached_flags.get(id(spec), False)),
+                spec=spec, result=result, provenance=self._provenance(spec, cached)
             )
-            for spec, result in zip(specs, results)
+            for spec, result, cached in zip(specs, results, from_cache)
         ]
 
     def run_grid(
@@ -233,8 +257,8 @@ class Session:
         ``campaign`` is a :class:`~repro.experiment.spec.CampaignSpec`;
         ``store`` a :class:`~repro.campaign.store.ResultStore` or path
         (defaults to this session's store, which must then be set);
-        ``backend`` a queue backend name (``memory`` / ``directory`` /
-        ``sqlite``) or instance.  Execution fans across this session's
+        ``backend`` a queue backend name (``memory`` / ``sqlite``) or
+        instance.  Execution fans across this session's
         worker count and lands in the store; re-invoking with the same
         arguments resumes, recomputing nothing that already completed.
         Returns the final :class:`~repro.campaign.runner.CampaignStatus`.
@@ -251,7 +275,7 @@ class Session:
             campaign,
             store=store,
             queue=backend,
-            max_workers=self._runner.max_workers,
+            max_workers=self.max_workers,
             lease=lease,
             budget=budget,
             **runner_kwargs,
@@ -268,24 +292,18 @@ class Session:
 
     @property
     def cache_hits(self) -> int:
-        hits = self._runner.cache.hits if self._runner.cache is not None else 0
-        if self._store is not None:
-            hits += self._store.hits
-        return hits
+        return self._store.hits if self._store is not None else 0
 
     @property
     def cache_misses(self) -> int:
-        misses = self._runner.cache.misses if self._runner.cache is not None else 0
-        if self._store is not None:
-            misses += self._store.misses
-        return misses
+        return self._store.misses if self._store is not None else 0
 
     def _provenance(self, spec: ExperimentSpec, from_cache: bool) -> Dict[str, Any]:
         from repro import __version__
 
         return {
             "repro_version": __version__,
-            "cache_version": SWEEP_CACHE_VERSION,
+            "cache_version": CACHE_VERSION,
             "spec_hash": spec.content_hash(),
             "from_cache": from_cache,
         }

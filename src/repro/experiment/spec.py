@@ -2,7 +2,7 @@
 
 An :class:`ExperimentSpec` is the one typed description of a simulator run
 that every entry point shares — the :class:`~repro.experiment.session.Session`
-facade, the CLI (``repro run --spec``), the sweep executor and the benchmark
+facade, the CLI (``repro run --spec``), campaigns and the benchmark
 harnesses.  It composes three sub-specs:
 
 * :class:`WorkloadSpec` — *what runs*: a registered workload name (benign
@@ -19,7 +19,7 @@ harnesses.  It composes three sub-specs:
 
 Specs are frozen, hashable and JSON-round-trippable; ``canonical_json()``
 (sorted keys, compact separators) is the content-hash material used as the
-sweep-cache key, so two specs describe the same experiment if and only if
+result-store key, so two specs describe the same experiment if and only if
 their hashes match.  Unknown workload/mitigation names are rejected at
 construction time with an error listing every registered name.
 """
@@ -94,8 +94,7 @@ class MitigationSpec:
 
         Channel ``c > 0`` of a seedable mechanism gets ``seed=c`` so channels
         draw independent random streams; channel 0 keeps the default seed,
-        preserving 1-channel bit-identity (same convention as the legacy
-        ``build_mitigations`` helper).
+        preserving 1-channel bit-identity.
         """
         entry = mitigation_entry(self.name)
         overrides = self.overrides_dict()
@@ -380,7 +379,7 @@ class ExperimentSpec:
     code; ``"sampled"`` fast-forwards between detailed windows under the
     :class:`SampledConfig` knobs (see EXPERIMENTS.md for the error bounds).
     A full-fidelity spec serializes without the fidelity keys, so its
-    canonical JSON — and therefore its content hash and sweep-cache key —
+    canonical JSON — and therefore its content hash and result-store key —
     is unchanged from earlier spec versions.
     """
 

@@ -1,6 +1,6 @@
-"""Shared warm worker pool for campaign and sweep fan-out.
+"""Shared warm worker pool for session and campaign fan-out.
 
-Both fan-out layers — :class:`repro.sim.sweep.SweepRunner` and
+Both fan-out layers — :meth:`repro.experiment.session.Session.run_many` and
 :class:`repro.campaign.runner.CampaignRunner` — execute cells in a
 ``ProcessPoolExecutor``.  Each used to build (and tear down) its own pool
 per ``run()`` call, so every campaign paid worker spawn plus a cold import
@@ -13,8 +13,8 @@ campaigns and sweeps reuse hot workers.
 
 Worker reuse is safe because both worker entry points
 (:func:`repro.campaign.runner._execute_payload`,
-:func:`repro.sim.sweep._worker_run`) construct the entire simulated system
-per cell from a plain-data spec; the only state that persists across cells
+:func:`repro.experiment.execute.execute_spec`) construct the entire
+simulated system per cell from a plain-data spec; the only state that persists across cells
 is deliberately cacheable (imported modules, memoized trace synthesis —
 deterministic functions of the spec).
 

@@ -1,67 +1,25 @@
-"""Legacy experiment-runner helpers (deprecated shims).
+"""Mitigation construction and the scaled experiment platform.
 
-The declarative experiment API (:mod:`repro.experiment`) is the front door
-for assembling simulations now: build an
-:class:`~repro.experiment.spec.ExperimentSpec` and execute it through a
-:class:`~repro.experiment.session.Session`.  The helpers here predate it and
-are kept as thin shims — each one warns ``DeprecationWarning`` once per
-process and then delegates to the same execution core the spec path uses
-(:func:`repro.experiment.execute.run_system`), so their outputs remain
-bit-identical to spec-driven runs (pinned by the golden equivalence tests).
-
-``MITIGATION_REGISTRY`` and ``MITIGATION_FACTORIES`` are live read-only
-views over the decorator-based registry of
-:mod:`repro.experiment.registry`, which replaced the hand-maintained dicts
-that used to live in this module.
+Small helpers the examples, benchmarks and tests share:
+:func:`build_mitigation`/:func:`build_mitigations` construct mechanisms by
+registry name (:mod:`repro.experiment.registry`),
+:func:`default_experiment_config` is the scaled DRAM configuration every
+experiment runs on, and :func:`normalized_ipc` normalizes a run to its
+unprotected baseline.  Simulations themselves are described by an
+:class:`~repro.experiment.spec.ExperimentSpec` and executed by a
+:class:`~repro.experiment.session.Session`, or assembled from explicitly
+built traces with :func:`repro.experiment.execute.run_system`.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Mapping
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List
 
-from repro.cpu.core import CoreConfig
-from repro.cpu.trace import Trace
 from repro.dram.config import DRAMConfig
-from repro.experiment.registry import mitigation_entry, mitigation_names
+from repro.experiment.registry import mitigation_entry
 from repro.experiment.spec import MitigationSpec, PlatformSpec
 from repro.mitigations.base import RowHammerMitigation
 from repro.sim.system import SimulationResult
-
-
-class _RegistryView(Mapping):
-    """Live, read-only mapping over the mitigation registry.
-
-    A plain dict snapshot taken at import time would miss mechanisms whose
-    modules had not been imported yet (registration happens at class
-    definition); resolving through the registry on every access keeps this
-    view — and everything built on it — always complete.
-    """
-
-    def __init__(self, value_of: Callable[[str], object]) -> None:
-        self._value_of = value_of
-
-    def __getitem__(self, name: str):
-        try:
-            return self._value_of(name)
-        except ValueError:
-            raise KeyError(name) from None
-
-    def __iter__(self):
-        return iter(mitigation_names())
-
-    def __len__(self) -> int:
-        return len(mitigation_names())
-
-
-#: Mitigation name -> mechanism class (live view over the registry).
-MITIGATION_REGISTRY: Mapping = _RegistryView(lambda name: mitigation_entry(name).cls)
-
-#: Mitigation name -> factory taking the RowHammer threshold (live view).
-MITIGATION_FACTORIES: Mapping = _RegistryView(
-    lambda name: (lambda nrh, _entry=mitigation_entry(name): _entry.build(nrh))
-)
 
 
 def build_mitigation(name: str, nrh: int, **overrides) -> RowHammerMitigation:
@@ -115,118 +73,8 @@ def default_experiment_config(
     ).dram_config()
 
 
-# --------------------------------------------------------------------------- #
-# Deprecated run helpers
-# --------------------------------------------------------------------------- #
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_deprecated(helper: str, replacement: str) -> None:
-    """Warn about a legacy helper — exactly once per process per helper."""
-    if helper in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(helper)
-    warnings.warn(
-        f"repro.sim.runner.{helper} is deprecated; build an ExperimentSpec and "
-        f"use {replacement} (see repro.experiment)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_single_core(
-    trace: Trace,
-    mitigation_name: str,
-    nrh: int,
-    dram_config: Optional[DRAMConfig] = None,
-    core_config: Optional[CoreConfig] = None,
-    mitigation_overrides: Optional[dict] = None,
-    verify_security: bool = True,
-) -> SimulationResult:
-    """Deprecated: run one trace on a single-core system under one mitigation.
-
-    Use an :class:`~repro.experiment.spec.ExperimentSpec` with a
-    :class:`~repro.experiment.session.Session` instead; outputs are
-    bit-identical.
-    """
-    _warn_deprecated("run_single_core", "Session.run")
-    from repro.experiment.execute import run_system
-
-    return run_system(
-        [trace],
-        mitigation_name=mitigation_name,
-        nrh=nrh,
-        dram_config=dram_config or default_experiment_config(),
-        core_config=core_config,
-        mitigation_overrides=mitigation_overrides,
-        verify_security=verify_security,
-        name=trace.name,
-    )
-
-
-def run_multi_core(
-    traces: Sequence[Trace],
-    mitigation_name: str,
-    nrh: int,
-    dram_config: Optional[DRAMConfig] = None,
-    core_config: Optional[CoreConfig] = None,
-    mitigation_overrides: Optional[dict] = None,
-    verify_security: bool = True,
-    name: Optional[str] = None,
-) -> SimulationResult:
-    """Deprecated: run a multi-programmed mix under one mitigation.
-
-    Use an :class:`~repro.experiment.spec.ExperimentSpec` (``num_cores`` or
-    ``mix``) with a :class:`~repro.experiment.session.Session` instead.
-    """
-    _warn_deprecated("run_multi_core", "Session.run")
-    from repro.experiment.execute import run_system
-
-    return run_system(
-        list(traces),
-        mitigation_name=mitigation_name,
-        nrh=nrh,
-        dram_config=dram_config or default_experiment_config(),
-        core_config=core_config,
-        mitigation_overrides=mitigation_overrides,
-        verify_security=verify_security,
-        name=name or traces[0].name,
-    )
-
-
 def normalized_ipc(result: SimulationResult, baseline: SimulationResult) -> float:
     """IPC of a mitigated run normalized to the unprotected baseline run."""
     if baseline.ipc == 0:
         return 0.0
     return result.ipc / baseline.ipc
-
-
-def compare_single_core(
-    trace: Trace,
-    mitigation_names: Sequence[str],
-    nrh: int,
-    dram_config: Optional[DRAMConfig] = None,
-    verify_security: bool = True,
-) -> Dict[str, SimulationResult]:
-    """Deprecated: run one trace under several mitigations plus the baseline.
-
-    Use :meth:`~repro.experiment.session.Session.compare` instead.  Returns
-    a mapping mitigation name -> result; the baseline is always included
-    under the key ``"none"`` so callers can normalize.
-    """
-    _warn_deprecated("compare_single_core", "Session.compare")
-    from repro.experiment.execute import run_system
-
-    dram_config = dram_config or default_experiment_config()
-    names = list(dict.fromkeys(["none", *mitigation_names]))
-    results: Dict[str, SimulationResult] = {}
-    for name in names:
-        results[name] = run_system(
-            [trace],
-            mitigation_name=name,
-            nrh=nrh,
-            dram_config=dram_config,
-            verify_security=verify_security and name != "none",
-            name=trace.name,
-        )
-    return results

@@ -220,13 +220,6 @@ class PersistentQueueContract(QueueContract):
         assert reopened.claim("w1").key == "cell-000"
 
 
-class TestDirectoryQueue(PersistentQueueContract):
-    backend = "directory"
-
-    def make_queue(self, tmp_path, clock):
-        return create_backend("directory", path=tmp_path / "queue", clock=clock)
-
-
 class TestSqliteQueue(PersistentQueueContract):
     backend = "sqlite"
 
@@ -235,8 +228,8 @@ class TestSqliteQueue(PersistentQueueContract):
 
 
 class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert queue_backend_names() == ["directory", "memory", "sqlite"]
+    def test_both_backends_registered(self):
+        assert queue_backend_names() == ["memory", "sqlite"]
 
     def test_unknown_backend_is_a_clean_error(self):
         with pytest.raises(KeyError, match="registered backends"):

@@ -11,9 +11,8 @@ import pytest
 
 from repro.campaign.store import ResultStore, default_store_dir
 from repro.experiment.execute import execute_spec
-from repro.experiment.session import RunRecord
+from repro.experiment.session import CACHE_VERSION, RunRecord
 from repro.experiment.spec import ExperimentSpec, MitigationSpec, WorkloadSpec
-from repro.sim.sweep import SWEEP_CACHE_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +141,7 @@ class TestIntegrity:
 
 class TestInvalidation:
     def test_stale_cache_version_is_a_miss_in_place(self, tmp_path, spec, result):
-        old = ResultStore(tmp_path / "store", cache_version=SWEEP_CACHE_VERSION - 1)
+        old = ResultStore(tmp_path / "store", cache_version=CACHE_VERSION - 1)
         path = old.put_result(spec, result)
 
         current = ResultStore(tmp_path / "store")
@@ -154,7 +153,7 @@ class TestInvalidation:
         assert current.misses == 1
 
     def test_recompute_overwrites_stale_record(self, tmp_path, spec, result):
-        old = ResultStore(tmp_path / "store", cache_version=SWEEP_CACHE_VERSION - 1)
+        old = ResultStore(tmp_path / "store", cache_version=CACHE_VERSION - 1)
         old.put_result(spec, result)
         current = ResultStore(tmp_path / "store")
         current.put_result(spec, result)

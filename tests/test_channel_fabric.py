@@ -22,19 +22,15 @@ from repro.controller.fabric import ChannelFabric
 from repro.dram.address import AddressMapper, DRAMAddress
 from repro.dram.config import small_test_config
 from repro.mitigations.fabric import MitigationFabric
+from repro.experiment.execute import execute_spec, run_system
+from repro.experiment.registry import mitigation_names
+from repro.experiment.spec import ExperimentSpec, MitigationSpec, WorkloadSpec
 from repro.mitigations.para import PARA
-from repro.sim.runner import (
-    MITIGATION_REGISTRY,
-    build_mitigations,
-    default_experiment_config,
-    run_multi_core,
-    run_single_core,
-)
+from repro.sim.runner import build_mitigations, default_experiment_config
 from repro.sim.system import System, SystemConfig
 from repro.workloads.attacks import traditional_rowhammer_attack
 from repro.workloads.suite import (
     MULTICHANNEL_SUITE,
-    build_multicore_traces,
     build_trace,
     workload_names,
     workloads_by_category,
@@ -71,37 +67,38 @@ class TestGoldenEquivalence:
     def golden(self):
         return json.loads(GOLDEN_PATH.read_text())
 
-    @pytest.fixture(scope="class")
-    def dram_config(self):
-        return default_experiment_config()
-
-    @pytest.fixture(scope="class")
-    def benign_trace(self, dram_config):
-        return build_trace("450.soplex", num_requests=2000, dram_config=dram_config)
-
-    @pytest.mark.parametrize("mitigation", sorted(MITIGATION_REGISTRY))
-    def test_benign_run_matches_golden(self, golden, dram_config, benign_trace, mitigation):
-        result = run_single_core(
-            benign_trace,
-            mitigation,
-            nrh=250,
-            dram_config=dram_config,
-            verify_security=mitigation != "none",
+    @pytest.mark.parametrize("mitigation", mitigation_names())
+    def test_benign_run_matches_golden(self, golden, mitigation):
+        result = execute_spec(
+            ExperimentSpec(
+                workload=WorkloadSpec(name="450.soplex", num_requests=2000),
+                mitigation=MitigationSpec(name=mitigation, nrh=250),
+                verify_security=mitigation != "none",
+            )
         )
         assert _fingerprint(result) == golden[f"benign/{mitigation}"]
 
-    def test_attack_run_matches_golden(self, golden, dram_config):
-        attack = traditional_rowhammer_attack(
-            num_requests=3000, dram_config=dram_config, aggressor_rows_per_bank=2
+    def test_attack_run_matches_golden(self, golden):
+        result = execute_spec(
+            ExperimentSpec(
+                workload=WorkloadSpec(
+                    name="attack_traditional",
+                    num_requests=3000,
+                    params={"aggressor_rows_per_bank": 2},
+                ),
+                mitigation=MitigationSpec(name="comet", nrh=125),
+            )
         )
-        result = run_single_core(attack, "comet", nrh=125, dram_config=dram_config)
         assert _fingerprint(result) == golden["attack/comet"]
 
-    def test_multicore_run_matches_golden(self, golden, dram_config):
-        mix = build_multicore_traces(
-            "429.mcf", num_cores=2, num_requests=1200, dram_config=dram_config
+    def test_multicore_run_matches_golden(self, golden):
+        result = execute_spec(
+            ExperimentSpec(
+                workload=WorkloadSpec(name="429.mcf", num_requests=1200, num_cores=2),
+                mitigation=MitigationSpec(name="comet", nrh=250),
+                name="mix",
+            )
         )
-        result = run_multi_core(mix, "comet", nrh=250, dram_config=dram_config, name="mix")
         assert _fingerprint(result) == golden["multicore/comet"]
 
 
@@ -244,7 +241,7 @@ class TestPerChannelIsolation:
             )
             for channel in (0, 1)
         ]
-        result = run_multi_core(
+        result = run_system(
             traces, "comet", nrh=125, dram_config=dram_config, name="dual_attack"
         )
         assert result.security_ok
@@ -257,8 +254,8 @@ class TestMultiChannelRuns:
         for channels in (1, 2):
             dram_config = default_experiment_config(channels=channels)
             trace = build_trace("mc_stream", num_requests=3000, dram_config=dram_config)
-            results[channels] = run_single_core(
-                trace, "none", nrh=1, dram_config=dram_config, verify_security=False
+            results[channels] = run_system(
+                [trace], "none", nrh=1, dram_config=dram_config, verify_security=False
             )
         # Same work over two independent channels finishes sooner.
         assert results[2].cycles < results[1].cycles

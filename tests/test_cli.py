@@ -79,6 +79,48 @@ class TestCommands:
         assert "default" in output
         assert "fcfs/open_page/all_bank" in output
 
+    def test_sweep_store_is_shared_with_session(self, capsys, tmp_path):
+        from repro.experiment.session import Session
+        from repro.experiment.spec import expand_grid
+
+        store = tmp_path / "store"
+        exit_code = main(
+            [
+                "sweep",
+                "--workloads", "502.gcc",
+                "--mitigations", "para",
+                "--nrh", "1000",
+                "--requests", "300",
+                "--workers", "0",
+                "--cache-dir", str(store),
+            ]
+        )
+        assert exit_code == 0
+        assert "(cache: 0 hits, 2 misses)" in capsys.readouterr().out
+        session = Session(store=store, max_workers=0)
+        session.run_many(expand_grid(["502.gcc"], ["para"], [1000], num_requests=300))
+        assert (session.cache_hits, session.cache_misses) == (2, 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--nrh", "0"],
+            ["sweep", "--requests", "0"],
+            ["sweep", "--requests", "-5"],
+            ["campaign", "run", "--cores", "0"],
+            ["run", "--workload", "nope"],
+            ["audit", "--patterns", "nope"],
+            ["audit", "--mitigations", "nope"],
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert "error:" in stderr.splitlines()[-1]
+
     def test_area_prints_all_mechanisms(self, capsys):
         assert main(["area", "--nrh", "125"]) == 0
         output = capsys.readouterr().out
@@ -156,7 +198,7 @@ class TestCampaignCommands:
         assert main(["list"]) == 0
         output = capsys.readouterr().out
         assert "campaign queue backends" in output
-        for backend in ("memory", "directory", "sqlite"):
+        for backend in ("memory", "sqlite"):
             assert backend in output
 
     def test_campaign_requires_subcommand(self):

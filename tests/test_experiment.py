@@ -1,10 +1,10 @@
 """Tests for the declarative experiment API (repro.experiment)."""
 
 import json
-import warnings
 
 import pytest
 
+from repro.controller.policies import ControllerPolicySpec
 from repro.core.config import CoMeTConfig
 from repro.cpu.core import CoreConfig
 from repro.dram.config import small_test_config
@@ -241,7 +241,7 @@ class TestSpecSerialization:
     def test_canonical_hash_pinned(self):
         """The canonical serialization is a cache-key contract: changing it
         silently invalidates every cached result.  Regenerate deliberately
-        (and bump SWEEP_CACHE_VERSION) when the schema changes."""
+        (and bump CACHE_VERSION) when the schema changes."""
         spec = ExperimentSpec(
             workload=WorkloadSpec(name="429.mcf", num_requests=1000),
             mitigation=MitigationSpec(name="comet", nrh=125),
@@ -306,6 +306,25 @@ class TestExpandGrid:
         mitigated = [s for s in specs if s.mitigation.name == "comet"]
         assert mitigated[0].mitigation.overrides_dict() == {"config": config}
 
+    def test_grid_skips_explicit_none(self):
+        specs = expand_grid(
+            workloads=["429.mcf"], mitigations=["none", "comet"], nrhs=[125]
+        )
+        assert sum(1 for s in specs if s.mitigation.name == "none") == 1
+
+    def test_grid_crosses_policy_axes(self):
+        policies = [
+            ControllerPolicySpec(scheduler=scheduler, row_policy=row_policy)
+            for scheduler in ("fr_fcfs", "fcfs", "bliss")
+            for row_policy in ("open_page", "closed_page")
+        ]
+        specs = expand_grid(
+            workloads=["429.mcf"], mitigations=["comet"], nrhs=[125], policies=policies
+        )
+        # (1 baseline + 1 comet spec) per policy triple.
+        assert len(specs) == 2 * 3 * 2
+        assert len({s.platform.controller for s in specs}) == 6
+
 
 # --------------------------------------------------------------------------- #
 # Session execution
@@ -313,7 +332,7 @@ class TestExpandGrid:
 class TestSession:
     def test_run_returns_record_with_provenance(self):
         spec = simple_spec()
-        record = Session(use_cache=False, max_workers=0).run(spec)
+        record = Session(max_workers=0).run(spec)
         assert record.spec == spec
         assert record.result.per_core_ipc
         assert record.provenance["spec_hash"] == spec.content_hash()
@@ -321,15 +340,15 @@ class TestSession:
 
     def test_disk_cache_round_trip(self, tmp_path):
         spec = simple_spec()
-        first = Session(cache_dir=tmp_path, max_workers=0).run(spec)
-        session = Session(cache_dir=tmp_path, max_workers=0)
+        first = Session(store=tmp_path, max_workers=0).run(spec)
+        session = Session(store=tmp_path, max_workers=0)
         second = session.run(spec)
         assert session.cache_hits == 1
         assert second.provenance["from_cache"] is True
         assert second.result == first.result
 
     def test_compare_includes_baseline(self):
-        records = Session(use_cache=False, max_workers=0).compare(
+        records = Session(max_workers=0).compare(
             WorkloadSpec(name="502.gcc", num_requests=300), ["comet"], nrh=500
         )
         assert set(records) == {"none", "comet"}
@@ -340,14 +359,14 @@ class TestSession:
 
     def test_compare_baseline_shared_across_thresholds(self, tmp_path):
         workload = WorkloadSpec(name="502.gcc", num_requests=300)
-        session = Session(cache_dir=tmp_path, max_workers=0)
+        session = Session(store=tmp_path, max_workers=0)
         session.compare(workload, ["comet"], nrh=500)
         session.compare(workload, ["comet"], nrh=250)
         # Second compare: the baseline comes back from the cache.
         assert session.cache_hits >= 1
 
     def test_run_record_json_round_trip(self):
-        record = Session(use_cache=False, max_workers=0).run(simple_spec())
+        record = Session(max_workers=0).run(simple_spec())
         restored = RunRecord.from_json(record.to_json())
         assert restored.spec == record.spec
         assert restored.result == record.result
@@ -355,28 +374,64 @@ class TestSession:
 
 
 # --------------------------------------------------------------------------- #
-# Deprecated shims
+# Store-backed batches
 # --------------------------------------------------------------------------- #
-class TestDeprecatedShims:
-    def test_run_single_core_warns_exactly_once(self):
-        from repro.sim import runner
-        from repro.sim.runner import default_experiment_config, run_single_core
-        from repro.workloads.suite import build_trace
+def _grid():
+    # 1 baseline + 2 mitigations x 2 thresholds on a small platform.
+    return expand_grid(
+        workloads=["429.mcf"],
+        mitigations=["comet", "para"],
+        nrhs=[1000, 125],
+        num_requests=400,
+        platform=PlatformSpec(rows_per_bank=1024, refresh_window_scale=1.0 / 1024.0),
+    )
 
-        runner._DEPRECATION_WARNED.discard("run_single_core")
-        dram_config = default_experiment_config()
-        trace = build_trace("502.gcc", num_requests=200, dram_config=dram_config)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_single_core(trace, "none", nrh=1000, dram_config=dram_config)
-            run_single_core(trace, "none", nrh=1000, dram_config=dram_config)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "run_single_core is deprecated" in str(deprecations[0].message)
+
+def _store_files(root):
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*.json"))
+    }
+
+
+class TestSessionStore:
+    def test_results_in_input_order(self):
+        specs = _grid()
+        records = Session(max_workers=0).run_many(specs)
+        assert [record.spec for record in records] == specs
+        for spec, record in zip(specs, records):
+            assert record.result.mitigation_name == spec.mitigation.name
+
+    def test_rerun_is_all_hits_with_identical_results(self, tmp_path):
+        specs = _grid()
+        first = Session(store=tmp_path, max_workers=0).run_many(specs)
+        assert not any(record.provenance["from_cache"] for record in first)
+        session = Session(store=tmp_path, max_workers=0)
+        second = session.run_many(specs)
+        assert (session.cache_hits, session.cache_misses) == (len(specs), 0)
+        assert all(record.provenance["from_cache"] for record in second)
+        assert [r.result for r in second] == [r.result for r in first]
+
+    def test_worker_counts_write_identical_stores(self, tmp_path):
+        specs = _grid()
+        Session(store=tmp_path / "inline", max_workers=0).run_many(specs)
+        Session(store=tmp_path / "pooled", max_workers=2).run_many(specs)
+        inline = _store_files(tmp_path / "inline")
+        assert len(inline) == len(specs)
+        assert _store_files(tmp_path / "pooled") == inline
+
+    def test_failing_spec_keeps_earlier_records(self, tmp_path):
+        good = simple_spec()
+        # PARA's preventive-refresh cascade is supercritical at NRH=20: the
+        # spec is valid but its mechanism refuses to construct.
+        bad = simple_spec(mitigation=MitigationSpec(name="para", nrh=20))
+        with pytest.raises(ValueError, match="para is infeasible"):
+            Session(store=tmp_path, max_workers=0).run_many([good, bad])
+        rerun = Session(store=tmp_path, max_workers=0)
+        assert rerun.run(good).provenance["from_cache"] is True
+        assert rerun.cache_misses == 0
 
 
 # Regenerated for the controller-policy layer: PlatformSpec grew the
-# ``controller`` key (SWEEP_CACHE_VERSION 5).
+# ``controller`` key (CACHE_VERSION 5).
 PINNED_HASH = "daea0a0692f62f8b73ffc20872a3df9a72edb751d8a1da08f38aa2e2e592e0bd"

@@ -13,7 +13,7 @@ Three guarantees, in decreasing order of strictness:
   configured tolerance of the full-fidelity run (the calibrated fast-forward
   pace is measured in the detailed windows, so this bounds how representative
   the windows are).
-* **Cache hygiene**: a sampled spec hashes and sweep-caches under a
+* **Cache hygiene**: a sampled spec hashes (and so is stored) under a
   different key than its full-fidelity twin, while full-fidelity hashing is
   byte-identical to before the fidelity axis existed.
 """
@@ -33,7 +33,6 @@ from repro.experiment.spec import (
     WorkloadSpec,
 )
 from repro.sim.sampled import _bind_functional_access, run_sampled
-from repro.sim.sweep import spec_cache_key
 from repro.sim.system import System, SystemConfig
 
 #: Relative IPC tolerance for sampled runs on the workloads below.  The
@@ -175,7 +174,6 @@ class TestCacheHygiene:
         full = _spec(BENIGN, "comet", 500)
         sampled = _spec(BENIGN, "comet", 500, fidelity="sampled")
         assert full.content_hash() != sampled.content_hash()
-        assert spec_cache_key(full) != spec_cache_key(sampled)
 
     def test_sampling_knobs_hash_differently(self):
         a = _spec(BENIGN, "comet", 500, fidelity="sampled")
@@ -183,7 +181,6 @@ class TestCacheHygiene:
             BENIGN, "comet", 500, fidelity="sampled", sampled={"interval": 4000}
         )
         assert a.content_hash() != b.content_hash()
-        assert spec_cache_key(a) != spec_cache_key(b)
 
     def test_full_fidelity_serialization_has_no_fidelity_keys(self):
         """Full-fidelity hashing is byte-identical to the pre-fidelity

@@ -147,7 +147,7 @@ class TestCampaignExecution:
     def test_session_audit_round_trip_with_cache(self, tmp_path):
         """Session.audit: report, then a second run served from the cache,
         bit-identical."""
-        session = Session(max_workers=0, cache_dir=tmp_path / "cache")
+        session = Session(max_workers=0, store=tmp_path / "store")
         kwargs = dict(
             mitigations=["comet"],
             patterns=["synth_uniform", "synth_sketch_aliasing"],
@@ -176,7 +176,7 @@ class TestCampaignExecution:
             num_requests=600,
             platform=TINY,
             policies=[None, ControllerPolicySpec(scheduler="fcfs")],
-            session=Session(max_workers=0, use_cache=False),
+            session=Session(max_workers=0),
         )
         assert len(report.findings) == 2
         assert {f.policy for f in report.findings} == {
@@ -210,10 +210,10 @@ class TestCampaignExecution:
             seed=3,
         )
         inline = run_audit(
-            session=Session(max_workers=1, use_cache=False), **kwargs
+            session=Session(max_workers=1), **kwargs
         )
         fanned = run_audit(
-            session=Session(max_workers=4, use_cache=False), **kwargs
+            session=Session(max_workers=4), **kwargs
         )
         assert inline.to_dict() == fanned.to_dict()
 
@@ -285,9 +285,11 @@ class TestAuditCLI:
             "synth_sketch_aliasing",
         }
 
-    def test_cli_rejects_unknown_pattern(self):
-        with pytest.raises(KeyError, match="unknown workload"):
+    def test_cli_rejects_unknown_pattern(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["audit", "--patterns", "not_a_pattern", "--workers", "0", "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "unknown workload 'not_a_pattern'" in capsys.readouterr().err
 
     def test_cli_cache_hits_reported(self, capsys, tmp_path):
         args = [

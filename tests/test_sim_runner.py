@@ -10,16 +10,13 @@ from repro.mitigations.hydra import Hydra
 from repro.mitigations.none import NoMitigation
 from repro.mitigations.para import PARA
 from repro.mitigations.rega import REGA
-from repro.sim.runner import (
-    MITIGATION_FACTORIES,
-    build_mitigation,
-    default_experiment_config,
-)
+from repro.experiment.registry import mitigation_names
+from repro.sim.runner import build_mitigation, default_experiment_config
 
 
 class TestMitigationFactories:
     def test_all_paper_mechanisms_present(self):
-        assert set(MITIGATION_FACTORIES) == {
+        assert set(mitigation_names()) == {
             "none",
             "comet",
             "graphene",

@@ -14,14 +14,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.sim.runner import (
-    MITIGATION_REGISTRY,
-    default_experiment_config,
-    run_multi_core,
-    run_single_core,
-)
-from repro.workloads.attacks import traditional_rowhammer_attack
-from repro.workloads.suite import build_multicore_traces, build_trace
+from repro.experiment.execute import execute_spec
+from repro.experiment.registry import mitigation_names
+from repro.experiment.spec import ExperimentSpec, MitigationSpec, WorkloadSpec
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tests" / "golden" / "channels1.json"
 
@@ -49,28 +44,31 @@ def result_fingerprint(result) -> dict:
 
 
 def generate() -> dict:
-    dram_config = default_experiment_config()
-    benign = build_trace("450.soplex", num_requests=2000, dram_config=dram_config)
-    attack = traditional_rowhammer_attack(
-        num_requests=3000, dram_config=dram_config, aggressor_rows_per_bank=2
-    )
-    mix = build_multicore_traces(
-        "429.mcf", num_cores=2, num_requests=1200, dram_config=dram_config
-    )
-
     golden: dict = {}
-    for name in sorted(MITIGATION_REGISTRY):
-        result = run_single_core(
-            benign, name, nrh=250, dram_config=dram_config,
-            verify_security=name != "none",
+    for name in mitigation_names():
+        result = execute_spec(
+            ExperimentSpec(
+                workload=WorkloadSpec(name="450.soplex", num_requests=2000),
+                mitigation=MitigationSpec(name=name, nrh=250),
+                verify_security=name != "none",
+            )
         )
         golden[f"benign/{name}"] = result_fingerprint(result)
-    golden["attack/comet"] = result_fingerprint(
-        run_single_core(attack, "comet", nrh=125, dram_config=dram_config)
+    attack = ExperimentSpec(
+        workload=WorkloadSpec(
+            name="attack_traditional",
+            num_requests=3000,
+            params={"aggressor_rows_per_bank": 2},
+        ),
+        mitigation=MitigationSpec(name="comet", nrh=125),
     )
-    golden["multicore/comet"] = result_fingerprint(
-        run_multi_core(mix, "comet", nrh=250, dram_config=dram_config, name="mix")
+    golden["attack/comet"] = result_fingerprint(execute_spec(attack))
+    mix = ExperimentSpec(
+        workload=WorkloadSpec(name="429.mcf", num_requests=1200, num_cores=2),
+        mitigation=MitigationSpec(name="comet", nrh=250),
+        name="mix",
     )
+    golden["multicore/comet"] = result_fingerprint(execute_spec(mix))
     return golden
 
 
